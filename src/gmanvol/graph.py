@@ -39,7 +39,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from functools import cached_property
+from typing import Literal, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 from .seifert import SeifertInvariants, euler_number, fill_framed_piece
@@ -140,6 +141,19 @@ def _edge_sort_key(edge: Edge):
     return (edge.tail, edge.head, edge.matrix.rows)
 
 
+class _Incidence(NamedTuple):
+    """Lookup tables of a graph, built in one pass over pieces and edges.
+
+    On an invalid graph they keep the semantics of a plain scan: the first
+    piece with a duplicated id wins, the last edge (in canonical order) on a
+    doubly used slot wins, and a self-loop makes a piece its own neighbor.
+    """
+
+    pieces: dict[str, BundlePiece]
+    slots: dict[tuple[str, int], tuple[int, str]]
+    neighbors: dict[str, set[str]]
+
+
 @dataclass(frozen=True)
 class GraphManifold:
     """A decorated dual graph; pieces and edges are kept in canonical order."""
@@ -153,24 +167,35 @@ class GraphManifold:
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "edges", edges)
 
+    @cached_property
+    def _incidence(self) -> _Incidence:
+        # cached_property stores the index in the instance dict, which the
+        # frozen dataclass allows; it is not a field, so equality, hashing
+        # and repr ignore it.
+        # Built from the end, so the first piece of a duplicated id wins.
+        pieces = {piece.id: piece for piece in reversed(self.pieces)}
+        slots: dict[tuple[str, int], tuple[int, str]] = {}
+        neighbors: dict[str, set[str]] = {}
+        for index, edge in enumerate(self.edges):
+            tail, head = edge.tail, edge.head
+            slots[tail] = (index, "tail")
+            slots[head] = (index, "head")
+            neighbors.setdefault(tail[0], set()).add(head[0])
+            neighbors.setdefault(head[0], set()).add(tail[0])
+        return _Incidence(pieces, slots, neighbors)
+
     def piece(self, piece_id: str) -> BundlePiece:
-        for piece in self.pieces:
-            if piece.id == piece_id:
-                return piece
-        raise KeyError(f"no piece with id {piece_id!r}")
+        try:
+            return self._incidence.pieces[piece_id]
+        except KeyError:
+            raise KeyError(f"no piece with id {piece_id!r}") from None
 
     def piece_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.pieces)
 
     def adjacent_pieces(self, piece_id: str) -> tuple[str, ...]:
         """Ids of the pieces sharing at least one gluing torus with piece_id."""
-        seen = set()
-        for edge in self.edges:
-            if edge.tail[0] == piece_id:
-                seen.add(edge.head[0])
-            elif edge.head[0] == piece_id:
-                seen.add(edge.tail[0])
-        return tuple(sorted(seen))
+        return tuple(sorted(self._incidence.neighbors.get(piece_id, ())))
 
 
 Direction = Literal["tail_to_head", "head_to_tail"]
@@ -186,15 +211,6 @@ def transport_slope(edge: Edge, direction: Direction, slope: Slope) -> Slope:
         raise ValueError(f"unknown transport direction {direction!r}")
     x, y = matrix.apply(slope.a, slope.b)
     return Slope.canonical(x, y)
-
-
-def _slot_assignments(gm: GraphManifold) -> dict[tuple[str, int], tuple[int, str]]:
-    """Map every (piece id, slot) to (edge index, side) for a valid graph."""
-    assignments: dict[tuple[str, int], tuple[int, str]] = {}
-    for index, edge in enumerate(gm.edges):
-        assignments[edge.tail] = (index, "tail")
-        assignments[edge.head] = (index, "head")
-    return assignments
 
 
 def validate(gm: GraphManifold) -> list[str]:
@@ -247,11 +263,12 @@ def validate(gm: GraphManifold) -> list[str]:
         violations.append("graph has no edges")
     elif not violations:
         # Connectivity is only meaningful once the incidence data is sane.
+        neighbors = gm._incidence.neighbors
         reached = {gm.pieces[0].id}
         frontier = [gm.pieces[0].id]
         while frontier:
             current = frontier.pop()
-            for neighbor in gm.adjacent_pieces(current):
+            for neighbor in neighbors.get(current, ()):
                 if neighbor not in reached:
                     reached.add(neighbor)
                     frontier.append(neighbor)
@@ -348,11 +365,11 @@ def canonical_framing(gm: GraphManifold, piece_id: str) -> list[Slope]:
     result is never the fiber of this piece.
     """
     piece = gm.piece(piece_id)
-    assignments = _slot_assignments(gm)
+    slots = gm._incidence.slots
     framing = []
     for slot in range(piece.boundary):
         try:
-            index, side = assignments[(piece_id, slot)]
+            index, side = slots[(piece_id, slot)]
         except KeyError:
             raise ValidationError(
                 [f"slot {piece_id!r}[{slot}] used by 0 edge endpoints, expected exactly 1"]

@@ -155,6 +155,132 @@ class TestValidate:
             assert validate(gm) == []
 
 
+def _scan_piece(gm, piece_id):
+    """Reference lookup: the first piece with the id, by a plain scan."""
+    for piece in gm.pieces:
+        if piece.id == piece_id:
+            return piece
+    raise KeyError(f"no piece with id {piece_id!r}")
+
+
+def _scan_adjacent(gm, piece_id):
+    """Reference neighbor lookup by a plain scan over every edge."""
+    seen = set()
+    for edge in gm.edges:
+        if edge.tail[0] == piece_id:
+            seen.add(edge.head[0])
+        elif edge.head[0] == piece_id:
+            seen.add(edge.tail[0])
+    return tuple(sorted(seen))
+
+
+def _scan_framing(gm, piece_id):
+    """Reference framing: per slot, the last edge in canonical order wins."""
+    framing = []
+    for slot in range(_scan_piece(gm, piece_id).boundary):
+        found = None
+        for edge in gm.edges:
+            if edge.tail == (piece_id, slot):
+                found = transport_slope(edge, "head_to_tail", Slope(0, 1))
+            if edge.head == (piece_id, slot):
+                found = transport_slope(edge, "tail_to_head", Slope(0, 1))
+        framing.append(found)
+    return framing
+
+
+def _corrupted(gm, rng):
+    """gm with a duplicated piece, a self-loop or a reused slot added."""
+    pieces, edges = list(gm.pieces), list(gm.edges)
+    victim = rng.choice(pieces)
+    kind = rng.choice(("duplicate", "self-loop", "reuse"))
+    if kind == "duplicate":
+        pieces.append(BundlePiece(victim.id, victim.genus + 1, victim.boundary + 1))
+    elif kind == "self-loop":
+        edges.append(Edge((victim.id, 0), (victim.id, victim.boundary - 1), J))
+    else:
+        other = rng.choice(pieces)
+        edges.append(Edge((victim.id, 0), (other.id, 0), random_gluing_matrix(rng)))
+    return GraphManifold(tuple(pieces), tuple(edges))
+
+
+class TestLookups:
+    def test_piece_returns_first_of_a_duplicated_id(self):
+        first, second = BundlePiece("A", 2, 1), BundlePiece("A", 3, 2)
+        gm = GraphManifold((first, BundlePiece("B", 2, 1), second), ())
+        assert gm.piece("A") is first
+        swapped = GraphManifold((second, first), ())
+        assert swapped.piece("A") is second
+
+    def test_unknown_piece_key_error_text(self):
+        gm = two_piece_graph([J])
+        with pytest.raises(KeyError) as excinfo:
+            gm.piece("Z")
+        assert excinfo.value.args == ("no piece with id 'Z'",)
+
+    def test_adjacent_pieces_with_self_loop(self):
+        gm = GraphManifold(
+            (BundlePiece("B", 2, 3), BundlePiece("A", 2, 1)),
+            (Edge(("B", 0), ("B", 1), J), Edge(("B", 2), ("A", 0), J)),
+        )
+        assert gm.adjacent_pieces("B") == ("A", "B")
+        assert gm.adjacent_pieces("A") == ("B",)
+        assert gm.adjacent_pieces("Z") == ()
+
+    def test_adjacent_pieces_sorted_without_repeats(self):
+        gm = GraphManifold(
+            (BundlePiece("C", 2, 1), BundlePiece("B", 2, 2), BundlePiece("A", 2, 3)),
+            (
+                Edge(("A", 2), ("C", 0), J),
+                Edge(("B", 0), ("A", 0), J),
+                Edge(("A", 1), ("B", 1), M1110),
+            ),
+        )
+        assert gm.adjacent_pieces("A") == ("B", "C")
+
+    def test_framing_of_unused_slot_raises(self):
+        gm = GraphManifold(
+            (BundlePiece("A", 2, 2), BundlePiece("B", 2, 1)),
+            (Edge(("A", 0), ("B", 0), M1110),),
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            canonical_framing(gm, "A")
+        assert excinfo.value.violations == [
+            "slot 'A'[1] used by 0 edge endpoints, expected exactly 1"
+        ]
+
+    def test_doubly_used_slot_last_edge_wins(self):
+        # In canonical order J sorts before M1110, so M1110 is the last edge
+        # on slot A[0] whichever order the edges are given in.
+        for edges in (
+            (Edge(("A", 0), ("B", 0), J), Edge(("A", 0), ("B", 0), M1110)),
+            (Edge(("A", 0), ("B", 0), M1110), Edge(("A", 0), ("B", 0), J)),
+        ):
+            gm = GraphManifold((BundlePiece("A", 2, 1), BundlePiece("B", 2, 1)), edges)
+            assert canonical_framing(gm, "A") == [Slope(1, -1)]
+
+    def test_index_is_not_part_of_equality_hash_or_repr(self):
+        gm, fresh = two_piece_graph([J, M1110]), two_piece_graph([J, M1110])
+        canonical_framing(gm, "A")
+        assert gm == fresh and hash(gm) == hash(fresh) and repr(gm) == repr(fresh)
+        assert "_incidence" not in repr(gm)
+
+    def test_lookups_match_plain_scans(self):
+        rng = random.Random(59)
+        for i in range(60):
+            gm = random_valid_graph(rng, style=("generic", "pmj", "mixed")[i % 3])
+            if i % 2:
+                gm = _corrupted(gm, rng)
+            for piece in gm.pieces:
+                assert gm.piece(piece.id) is _scan_piece(gm, piece.id)
+                assert gm.adjacent_pieces(piece.id) == _scan_adjacent(gm, piece.id)
+                expected = _scan_framing(gm, piece.id)
+                if None in expected:
+                    with pytest.raises(ValidationError):
+                        canonical_framing(gm, piece.id)
+                else:
+                    assert canonical_framing(gm, piece.id) == expected
+
+
 class TestParseSerialize:
     def test_minimal_document(self):
         doc = {
