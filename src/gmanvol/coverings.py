@@ -57,6 +57,8 @@ from .graph import (
     GraphManifold,
     Slope,
     _edge_sort_key,
+    _expect_int,
+    _expect_list,
     filled_piece_invariants,
     graph_from_document,
     graph_to_document,
@@ -430,32 +432,49 @@ def covered_graph_to_document(cov: CoveredGraph) -> dict:
 
 
 def covered_graph_from_document(doc: dict) -> CoveredGraph:
-    """Rebuild a CoveredGraph from its document, for certificate re-checking."""
+    """Rebuild a CoveredGraph from its document, for certificate re-checking.
+
+    Every integer field of the certificate, of its records and of the torus
+    map must be a JSON integer (not a bool, float or string); anything else
+    raises ParseError.
+    """
     if not isinstance(doc, dict) or "certificate" not in doc or "torus_map" not in doc:
         raise ParseError('covered graph document needs "certificate" and "torus_map"')
     manifold = graph_from_document(
         {"pieces": doc.get("pieces"), "edges": doc.get("edges")}
     )
     raw = doc["certificate"]
+    if not isinstance(raw, dict) or not isinstance(raw.get("per_piece"), dict):
+        raise ParseError('covering certificate must be an object with a "per_piece" object')
     try:
         per_piece = {
-            piece_id: PieceCoverRecord(
-                over=record["over"],
-                vertical_degree=record["vertical_degree"],
-                horizontal_degree=record["horizontal_degree"],
-                genus_up=record["genus_up"],
-                boundary_up=record["boundary_up"],
-            )
+            piece_id: _record_from_document(record)
             for piece_id, record in raw["per_piece"].items()
         }
         certificate = CoveringCertificate(
-            total_degree=raw["total_degree"],
-            characteristic_level=raw["characteristic_level"],
+            total_degree=_expect_int(raw["total_degree"], "total_degree"),
+            characteristic_level=_expect_int(
+                raw["characteristic_level"], "characteristic_level"
+            ),
             per_piece=per_piece,
             separable=raw["separable"],
             separable_case=raw["separable_case"],
         )
-        torus_map = tuple(int(i) for i in doc["torus_map"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed covering certificate: {exc}") from exc
+    except KeyError as exc:
+        raise ParseError(f"malformed covering certificate: missing {exc}") from exc
+    torus_map = tuple(
+        _expect_int(i, "torus_map entry") for i in _expect_list(doc["torus_map"], "torus_map")
+    )
     return CoveredGraph(manifold=manifold, certificate=certificate, torus_map=torus_map)
+
+
+def _record_from_document(record) -> PieceCoverRecord:
+    if not isinstance(record, dict) or not isinstance(record.get("over"), str):
+        raise ParseError(f"malformed covering record: {record!r}")
+    return PieceCoverRecord(
+        over=record["over"],
+        vertical_degree=_expect_int(record["vertical_degree"], "vertical_degree"),
+        horizontal_degree=_expect_int(record["horizontal_degree"], "horizontal_degree"),
+        genus_up=_expect_int(record["genus_up"], "genus_up"),
+        boundary_up=_expect_int(record["boundary_up"], "boundary_up"),
+    )

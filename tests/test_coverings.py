@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from gmanvol import (
     J,
     NonIntegralGenus,
     NotPrime,
+    ParseError,
     PrimeTooSmall,
     Slope,
     canonical_framing,
@@ -27,7 +29,12 @@ from gmanvol import (
     validate,
     verify_covering_certificate,
 )
-from gmanvol.coverings import covered_graph_to_document, is_prime, next_prime_above
+from gmanvol.coverings import (
+    covered_graph_from_document,
+    covered_graph_to_document,
+    is_prime,
+    next_prime_above,
+)
 from builders import random_cycle_graph, two_piece_graph
 
 M1110 = GluingMatrix.of(1, 1, 1, 0)
@@ -298,3 +305,69 @@ class TestRandomizedBookkeeping:
             cov = characteristic_cover(gm, 7)
             data = serialize_graph(cov.manifold)
             assert serialize_graph(parse_graph(data)) == data
+
+
+class TestCoveredGraphDocument:
+    """covered_graph_from_document on a genus-raising cover of star-3."""
+
+    INT_FIELDS = ("total_degree", "characteristic_level")
+    RECORD_FIELDS = ("vertical_degree", "horizontal_degree", "genus_up", "boundary_up")
+    BAD_INTEGERS = ("1", 1.0, 0.9, True, None, [1])
+
+    @pytest.fixture
+    def star(self, corpus_paths):
+        path = next(p for p in corpus_paths if p.name == "star-3.json")
+        return parse_graph(path.read_bytes())
+
+    @pytest.fixture
+    def cover_doc(self, star):
+        return covered_graph_to_document(genus_raising_cover(star, "Z", 3))
+
+    def test_round_trip_verifies(self, star, cover_doc):
+        cov = covered_graph_from_document(cover_doc)
+        assert verify_covering_certificate(cov, star) == []
+
+    @pytest.mark.parametrize("bad", BAD_INTEGERS + ("3",))
+    def test_torus_map_entry_must_be_an_integer(self, cover_doc, bad):
+        cover_doc["torus_map"][0] = bad
+        with pytest.raises(ParseError, match="torus_map entry"):
+            covered_graph_from_document(cover_doc)
+
+    def test_torus_map_must_be_a_list(self, cover_doc):
+        cover_doc["torus_map"] = "0" * len(cover_doc["torus_map"])
+        with pytest.raises(ParseError, match="torus_map"):
+            covered_graph_from_document(cover_doc)
+
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    @pytest.mark.parametrize("bad", BAD_INTEGERS)
+    def test_certificate_integers(self, cover_doc, field, bad):
+        cover_doc["certificate"][field] = bad
+        with pytest.raises(ParseError, match=field):
+            covered_graph_from_document(cover_doc)
+
+    @pytest.mark.parametrize("field", RECORD_FIELDS)
+    @pytest.mark.parametrize("bad", BAD_INTEGERS)
+    def test_record_integers(self, cover_doc, field, bad):
+        cover_doc["certificate"]["per_piece"]["Z~0"][field] = bad
+        with pytest.raises(ParseError, match=field):
+            covered_graph_from_document(cover_doc)
+
+    def test_string_vertical_degree_no_longer_reaches_the_verifier(self, cover_doc):
+        cover_doc["certificate"]["per_piece"]["A"]["vertical_degree"] = "1"
+        with pytest.raises(ParseError):
+            covered_graph_from_document(cover_doc)
+
+    def test_malformed_records(self, cover_doc):
+        for bad in ([], {"over": 1}, "A"):
+            doc = json.loads(json.dumps(cover_doc))
+            doc["certificate"]["per_piece"]["A"] = bad
+            with pytest.raises(ParseError):
+                covered_graph_from_document(doc)
+        cover_doc["certificate"]["per_piece"] = []
+        with pytest.raises(ParseError):
+            covered_graph_from_document(cover_doc)
+
+    def test_missing_field(self, cover_doc):
+        del cover_doc["certificate"]["per_piece"]["A"]["genus_up"]
+        with pytest.raises(ParseError, match="genus_up"):
+            covered_graph_from_document(cover_doc)
