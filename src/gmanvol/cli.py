@@ -25,11 +25,11 @@ from . import classify as classify_mod
 from .coverings import characteristic_cover, covered_graph_to_document, genus_raising_cover
 from .errors import GmanvolError, ParseError, ValidationError
 from .graph import (
+    GraphManifold,
     absolute_euler_number,
     canonical_framing,
     filled_piece_invariants,
     graph_from_document,
-    parse_graph,
     validate,
 )
 from .seifert import (
@@ -96,6 +96,14 @@ def _load_document(path: Path):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _load_valid_graph(path: Path) -> GraphManifold:
+    gm = graph_from_document(_load_document(path))
+    violations = validate(gm)
+    if violations:
+        raise ValidationError(violations)
+    return gm
+
+
 def _run_validate(path: Path, args) -> tuple[dict | list, int]:
     gm = graph_from_document(_load_document(path))
     report = validate(gm)
@@ -103,7 +111,7 @@ def _run_validate(path: Path, args) -> tuple[dict | list, int]:
 
 
 def _run_invariants(path: Path, args) -> tuple[dict, int]:
-    gm = parse_graph(canonical_json_bytes(_load_document(path)))
+    gm = _load_valid_graph(path)
     pieces = {}
     for piece in gm.pieces:
         framing = canonical_framing(gm, piece.id)
@@ -124,7 +132,7 @@ def _run_invariants(path: Path, args) -> tuple[dict, int]:
 
 
 def _run_cover(path: Path, args) -> tuple[dict, int]:
-    gm = parse_graph(canonical_json_bytes(_load_document(path)))
+    gm = _load_valid_graph(path)
     if args.mode == "characteristic":
         cov = characteristic_cover(gm, args.prime)
     else:
@@ -135,7 +143,7 @@ def _run_cover(path: Path, args) -> tuple[dict, int]:
 
 
 def _run_volume_bound(path: Path, args) -> tuple[dict, int]:
-    gm = parse_graph(canonical_json_bytes(_load_document(path)))
+    gm = _load_valid_graph(path)
     cert = volume_lower_bound(gm, VolumeConfig(alpha_bound=args.alpha_bound))
     return cert.to_document(), EXIT_OK
 
