@@ -445,7 +445,7 @@ def covered_graph_from_document(doc: dict) -> CoveredGraph:
     )
     raw = doc["certificate"]
     if not isinstance(raw, dict) or not isinstance(raw.get("per_piece"), dict):
-        raise ParseError('covering certificate must be an object with a "per_piece" object')
+        raise ParseError('covering certificate needs a "per_piece" object')
     try:
         per_piece = {
             piece_id: _record_from_document(record)
@@ -463,7 +463,8 @@ def covered_graph_from_document(doc: dict) -> CoveredGraph:
     except KeyError as exc:
         raise ParseError(f"malformed covering certificate: missing {exc}") from exc
     torus_map = tuple(
-        _expect_int(i, "torus_map entry") for i in _expect_list(doc["torus_map"], "torus_map")
+        _expect_int(entry, "torus_map entry")
+        for entry in _expect_list(doc["torus_map"], "torus_map")
     )
     return CoveredGraph(manifold=manifold, certificate=certificate, torus_map=torus_map)
 
@@ -474,7 +475,9 @@ def _record_from_document(record) -> PieceCoverRecord:
     return PieceCoverRecord(
         over=record["over"],
         vertical_degree=_expect_int(record["vertical_degree"], "vertical_degree"),
-        horizontal_degree=_expect_int(record["horizontal_degree"], "horizontal_degree"),
+        horizontal_degree=_expect_int(
+            record["horizontal_degree"], "horizontal_degree"
+        ),
         genus_up=_expect_int(record["genus_up"], "genus_up"),
         boundary_up=_expect_int(record["boundary_up"], "boundary_up"),
     )

@@ -171,8 +171,8 @@ class GraphManifold:
     def _incidence(self) -> _Incidence:
         # cached_property stores the index in the instance dict, which the
         # frozen dataclass allows; it is not a field, so equality, hashing
-        # and repr ignore it.
-        # Built from the end, so the first piece of a duplicated id wins.
+        # and repr ignore it.  Pieces are read from the end so that the
+        # first piece of a duplicated id wins.
         pieces = {piece.id: piece for piece in reversed(self.pieces)}
         slots: dict[tuple[str, int], tuple[int, str]] = {}
         neighbors: dict[str, set[str]] = {}
