@@ -26,6 +26,7 @@ from .coverings import characteristic_cover, covered_graph_to_document, genus_ra
 from .errors import GmanvolError, ParseError, ValidationError
 from .graph import (
     GraphManifold,
+    _expect_int,
     absolute_euler_number,
     canonical_framing,
     filled_piece_invariants,
@@ -94,6 +95,11 @@ def _load_document(path: Path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # An integer literal beyond the interpreter's digit limit.
+        raise ParseError(f"{path} has an integer that is too long: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} is nested too deeply: {exc}") from exc
 
 
 def _load_valid_graph(path: Path) -> GraphManifold:
@@ -160,8 +166,11 @@ def _description_from_document(doc) -> classify_mod.PrimeManifoldDescription:
     if kind == classify_mod.KIND_SEIFERT:
         try:
             inv = SeifertInvariants(
-                genus=doc["genus"],
-                exceptional=tuple((a, b) for a, b in doc.get("exceptional", [])),
+                genus=_expect_int(doc["genus"], "genus"),
+                exceptional=tuple(
+                    (_expect_int(a, "alpha"), _expect_int(b, "beta"))
+                    for a, b in doc.get("exceptional", [])
+                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed Seifert description: {exc}") from exc

@@ -29,12 +29,17 @@ genus_raising_cover(gm, center, q)
     attaches to copy k of a replicated piece and to the k-th boundary lift
     of a connectedly covered piece; this deterministic matching always
     yields a connected cover.  The cover is 1-characteristic and separable
-    (each piece cover has fiber degree one).
+    (each piece cover has fiber degree one).  Its size is predicted before
+    it is built, and a cover with more than MAX_COVER_SIZE pieces or gluing
+    tori is refused.
 
 The genus of a covered base surface follows the Riemann-Hurwitz count for
 unbranched covers of surfaces with boundary, exposed separately as
 riemann_hurwitz_genus so its two boundary behaviors can be tested as plain
 integer identities.
+
+Covering primes are checked by a deterministic Miller-Rabin test, which is
+exact below PRIME_TEST_BOUND; a larger number raises PrimeTooLarge.
 """
 
 from __future__ import annotations
@@ -44,11 +49,13 @@ from typing import Mapping, Sequence
 
 from .errors import (
     BoundaryCountTooSmall,
+    CoverTooLarge,
     DisconnectedCover,
     GmanvolError,
     NonIntegralGenus,
     NotPrime,
     ParseError,
+    PrimeTooLarge,
     PrimeTooSmall,
 )
 from .graph import (
@@ -64,7 +71,7 @@ from .graph import (
     graph_to_document,
     validate,
 )
-from .seifert import ehn_horizontal_foliation, fill_framed_piece
+from .seifert import ehn_horizontal_foliation, min_genus_for_ehn
 
 
 @dataclass(frozen=True)
@@ -113,14 +120,42 @@ class CoveredGraph:
     torus_map: tuple[int, ...]
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015); no fixed base set is known to be exact for
+# every integer, so larger numbers are refused instead of guessed at.
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The most pieces, and the most gluing tori, a genus-raising cover may have.
+MAX_COVER_SIZE = 100_000
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality for n < PRIME_TEST_BOUND; PrimeTooLarge above."""
+    if n >= PRIME_TEST_BOUND:
+        raise PrimeTooLarge(
+            f"{n} is not below {PRIME_TEST_BOUND}, the bound up to which "
+            "primality is decided exactly"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for base in _PRIME_BASES:
+        if n % base == 0:
+            return n == base
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for base in _PRIME_BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -214,6 +249,13 @@ def genus_raising_cover(gm: GraphManifold, center: str, q: int) -> CoveredGraph:
         raise GmanvolError(f"unknown center piece {center!r}") from None
     adjacent = set(gm.adjacent_pieces(center))
     replicated = {p.id for p in gm.pieces if p.id not in adjacent}
+    piece_count = len(adjacent) + q * len(replicated)
+    torus_count = q * len(gm.edges)
+    if max(piece_count, torus_count) > MAX_COVER_SIZE:
+        raise CoverTooLarge(
+            f"a genus-raising cover of degree {q} would have {piece_count} pieces "
+            f"and {torus_count} gluing tori; the limit is {MAX_COVER_SIZE} of each"
+        )
 
     def copy_id(piece_id: str, label: int) -> str:
         return f"{piece_id}~{label}"
@@ -383,10 +425,12 @@ def min_prime_for_ehn_cover(
     """Smallest characteristic-cover prime after which the filled piece foliates.
 
     Returns the sentinel 1 when the horizontal foliation test already
-    passes downstairs (no cover needed).  Otherwise searches primes
-    q > boundary count of the piece; the covered filled piece keeps the
-    same filling slopes while its genus grows, and the foliation test is
-    monotone in the genus, so the search terminates.
+    passes downstairs (no cover needed).  Otherwise returns the smallest
+    prime q > boundary count p of the piece whose covered genus reaches the
+    genus G at which the foliation test first passes.  The covered filled
+    piece keeps the same filling slopes, the test is monotone in the genus,
+    and Riemann-Hurwitz gives the covered genus g + (2g + p - 2)(q - 1)/2,
+    so q must be at least 1 + ceil(2(G - g) / (2g + p - 2)).
     """
     piece = gm.piece(piece_id)
     downstairs = filled_piece_invariants(gm, piece_id, slopes)
@@ -397,12 +441,10 @@ def min_prime_for_ehn_cover(
             f"piece {piece_id!r} has a single boundary torus; apply a "
             "genus-raising cover first to multiply boundary tori"
         )
-    q = next_prime_above(piece.boundary)
-    while True:
-        genus_up, _ = riemann_hurwitz_genus(piece.genus, piece.boundary, q, "q")
-        if ehn_horizontal_foliation(fill_framed_piece(genus_up, slopes)):
-            return q
-        q = next_prime_above(q)
+    needed_genus = min_genus_for_ehn(downstairs.exceptional)
+    step = 2 * piece.genus + piece.boundary - 2
+    q_min = 1 - (-2 * (needed_genus - piece.genus) // step)
+    return next_prime_above(max(piece.boundary, q_min - 1))
 
 
 def certificate_to_document(cert: CoveringCertificate) -> dict:

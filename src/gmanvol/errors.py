@@ -51,6 +51,14 @@ class PrimeTooSmall(GmanvolError):
     """The covering prime must exceed every boundary-torus count."""
 
 
+class PrimeTooLarge(GmanvolError):
+    """A number is beyond the range where the primality test is exact."""
+
+
+class CoverTooLarge(GmanvolError):
+    """A requested cover would exceed the size limit on its pieces or tori."""
+
+
 class DisconnectedCover(GmanvolError):
     """Internal consistency failure: a constructed cover is disconnected."""
 

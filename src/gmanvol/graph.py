@@ -190,9 +190,6 @@ class GraphManifold:
         except KeyError:
             raise KeyError(f"no piece with id {piece_id!r}") from None
 
-    def piece_ids(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.pieces)
-
     def adjacent_pieces(self, piece_id: str) -> tuple[str, ...]:
         """Ids of the pieces sharing at least one gluing torus with piece_id."""
         return tuple(sorted(self._incidence.neighbors.get(piece_id, ())))
@@ -296,7 +293,7 @@ def graph_from_document(doc) -> GraphManifold:
             raise ParseError(f"piece id must be a string: {raw['id']!r}")
         pieces.append(
             BundlePiece(
-                id=raw["id"],
+                id=_expect_encodable(raw["id"]),
                 genus=_expect_int(raw["genus"], "genus"),
                 boundary=_expect_int(raw["boundary"], "boundary"),
             )
@@ -428,7 +425,16 @@ def _expect_end(value) -> tuple[str, int]:
         or not isinstance(value[0], str)
     ):
         raise ParseError(f"malformed edge endpoint: {value!r}")
-    return (value[0], _expect_int(value[1], "slot"))
+    return (_expect_encodable(value[0]), _expect_int(value[1], "slot"))
+
+
+def _expect_encodable(piece_id: str) -> str:
+    # A lone surrogate decodes from JSON but cannot be written back as UTF-8.
+    try:
+        piece_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(f"piece id {piece_id!r} cannot be encoded as UTF-8") from None
+    return piece_id
 
 
 def _expect_matrix(value) -> GluingMatrix:

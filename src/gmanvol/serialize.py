@@ -20,11 +20,6 @@ def format_rational(value: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Inverse of format_rational."""
-    return Fraction(text)
-
-
 def canonical_json_bytes(document, pretty: bool = False) -> bytes:
     """Serialize a JSON-compatible document to canonical UTF-8 bytes."""
     if pretty:

@@ -85,12 +85,6 @@ class PiSquaredValue:
     def __post_init__(self):
         object.__setattr__(self, "coefficient", Fraction(self.coefficient))
 
-    def approx(self, digits: int = 12) -> float:
-        """Decimal rendering for display only; never used in computation."""
-        import math
-
-        return round(float(self.coefficient) * math.pi**2, digits)
-
 
 @dataclass(frozen=True)
 class VolumeConfig:

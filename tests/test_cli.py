@@ -1,5 +1,10 @@
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,10 +13,39 @@ from gmanvol.cli import run
 from gmanvol.coverings import covered_graph_from_document
 
 
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def invoke_subprocess(argv, timeout=30):
+    """Run the CLI in a child capped at 1 GiB of address space and a timeout.
+
+    A hang or a memory blow-up then fails the test instead of stalling or
+    exhausting the machine.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmanvol.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+        preexec_fn=_cap_address_space,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.fixture
@@ -275,3 +309,112 @@ class TestExitCodesAndDeterminism:
         assert code == 0
         assert out.startswith("{\n")
         assert json.loads(out)["bound_pi2"] == "8"
+
+
+class TestHostileInputs:
+    """Each input must end in a named JSON error, never a traceback or a hang."""
+
+    def _expect_error(self, argv, code, error):
+        got_code, out, err = invoke_subprocess(argv)
+        assert (got_code, out) == (code, "")
+        assert json.loads(err)["error"] == error
+
+    def test_integer_beyond_digit_limit(self, tmp_path):
+        path = tmp_path / "long-int.json"
+        path.write_text(
+            '{"pieces": [{"id": "A", "genus": ' + "9" * 5000 + ', "boundary": 1}], '
+            '"edges": []}'
+        )
+        self._expect_error(["validate", str(path)], 3, "ParseError")
+
+    def test_deep_nesting(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        self._expect_error(["invariants", str(path)], 3, "ParseError")
+
+    def test_lone_surrogate_piece_id(self, tmp_path):
+        for where in ("piece", "edge"):
+            bad = "\ud800"
+            doc = {
+                "pieces": [
+                    {"id": bad if where == "piece" else "A", "genus": 2, "boundary": 1},
+                    {"id": "B", "genus": 2, "boundary": 1},
+                ],
+                "edges": [
+                    {"tail": [bad if where == "edge" else "A", 0], "head": ["B", 0],
+                     "matrix": [[0, 1], [1, 0]]}
+                ],
+            }
+            path = tmp_path / f"surrogate-{where}.json"
+            path.write_text(json.dumps(doc))
+            self._expect_error(["invariants", str(path)], 3, "ParseError")
+
+    def test_seifert_document_types(self, tmp_path):
+        for name, doc in {
+            "bool-genus": {"kind": "seifert", "genus": True},
+            "float-alpha": {"kind": "seifert", "genus": 2, "exceptional": [[2.7, 1]]},
+            "string-beta": {"kind": "seifert", "genus": 2, "exceptional": [[2, "1"]]},
+        }.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            self._expect_error(["classify", str(path)], 3, "ParseError")
+
+    def test_prime_beyond_exact_test(self, corpus_paths):
+        triangle = next(p for p in corpus_paths if p.name == "triangle.json")
+        self._expect_error(
+            ["cover", str(triangle), "--mode", "characteristic",
+             "--prime", "3317044064679887385961981"],
+            2,
+            "PrimeTooLarge",
+        )
+        code, out, _ = invoke_subprocess(
+            ["cover", str(triangle), "--mode", "characteristic",
+             "--prime", "1000000000000000003"]
+        )
+        assert code == 0
+        assert json.loads(out)["certificate"]["characteristic_level"] == 10**18 + 3
+
+    def test_tower_prime_beyond_exact_test(self, tmp_path):
+        # Filling B along (1, 10^25) twice needs a prime near 5 * 10^24.
+        matrix = [[0, 1], [1, 10**25]]
+        doc = {
+            "pieces": [
+                {"id": "A", "genus": 2, "boundary": 2},
+                {"id": "B", "genus": 2, "boundary": 2},
+            ],
+            "edges": [
+                {"tail": ["A", i], "head": ["B", i], "matrix": matrix} for i in range(2)
+            ],
+        }
+        path = tmp_path / "huge-beta.json"
+        path.write_text(json.dumps(doc))
+        self._expect_error(["volume-bound", str(path)], 2, "PrimeTooLarge")
+
+    def test_genus_raising_cover_too_many_pieces(self, corpus_paths):
+        star = next(p for p in corpus_paths if p.name == "star-3.json")
+        self._expect_error(
+            ["cover", str(star), "--mode", "genus-raising", "--center", "B",
+             "--prime", "10000019"],
+            2,
+            "CoverTooLarge",
+        )
+
+    def test_genus_raising_cover_too_many_tori(self, tmp_path):
+        # 1 + 200 pieces upstairs would pass; 200 * 1009 gluing tori do not.
+        leaves = [f"L{i:03d}" for i in range(200)]
+        doc = {
+            "pieces": [{"id": "C", "genus": 2, "boundary": 200}]
+            + [{"id": leaf, "genus": 2, "boundary": 1} for leaf in leaves],
+            "edges": [
+                {"tail": ["C", i], "head": [leaf, 0], "matrix": [[0, 1], [1, 0]]}
+                for i, leaf in enumerate(leaves)
+            ],
+        }
+        path = tmp_path / "wide-star.json"
+        path.write_text(json.dumps(doc))
+        self._expect_error(
+            ["cover", str(path), "--mode", "genus-raising", "--center", "C",
+             "--prime", "1009"],
+            2,
+            "CoverTooLarge",
+        )

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -15,11 +16,14 @@ from gmanvol import (
     NonIntegralGenus,
     NotPrime,
     ParseError,
+    PrimeTooLarge,
     PrimeTooSmall,
     Slope,
     canonical_framing,
     characteristic_cover,
+    ehn_horizontal_foliation,
     euler_number,
+    fill_framed_piece,
     filled_piece_invariants,
     genus_raising_cover,
     min_prime_for_ehn_cover,
@@ -30,6 +34,7 @@ from gmanvol import (
     verify_covering_certificate,
 )
 from gmanvol.coverings import (
+    PRIME_TEST_BOUND,
     covered_graph_from_document,
     covered_graph_to_document,
     is_prime,
@@ -40,6 +45,34 @@ from builders import random_cycle_graph, two_piece_graph
 M1110 = GluingMatrix.of(1, 1, 1, 0)
 
 
+def trial_division_is_prime(n: int) -> bool:
+    """Reference primality test."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def stepping_min_prime(gm, piece_id, slopes):
+    """Reference for min_prime_for_ehn_cover: try every prime above p in turn."""
+    piece = gm.piece(piece_id)
+    if ehn_horizontal_foliation(filled_piece_invariants(gm, piece_id, slopes)):
+        return 1
+    if piece.boundary < 2:
+        raise BoundaryCountTooSmall(piece_id)
+    q = piece.boundary + 1
+    while True:
+        if trial_division_is_prime(q):
+            genus_up, _ = riemann_hurwitz_genus(piece.genus, piece.boundary, q, "q")
+            if ehn_horizontal_foliation(fill_framed_piece(genus_up, slopes)):
+                return q
+        q += 1
+
+
 class TestPrimes:
     def test_is_prime(self):
         assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
@@ -48,6 +81,38 @@ class TestPrimes:
         assert next_prime_above(1) == 2
         assert next_prime_above(5) == 7
         assert next_prime_above(8) == 11
+
+    def test_matches_trial_division(self):
+        for n in range(-3, 200_000):
+            assert is_prime(n) == trial_division_is_prime(n), n
+
+    def test_pseudoprimes_rejected(self):
+        # Strong pseudoprimes to the bases 2; 2..7; 2..23; 2..37, and the
+        # Carmichael numbers 561 and 1729.
+        factored = {
+            2047: (23, 89),
+            3215031751: (151, 751, 28351),
+            3825123056546413051: (149491, 747451, 34233211),
+            318665857834031151167461: (399165290221, 798330580441),
+            561: (3, 11, 17),
+            1729: (7, 13, 19),
+        }
+        for n, factors in factored.items():
+            assert math.prod(factors) == n
+            assert not is_prime(n), n
+
+    def test_large_primes(self):
+        assert is_prime(2**61 - 1)
+        assert is_prime(10**18 + 3)
+        assert not is_prime((10**9 + 7) * (10**9 + 9))
+
+    def test_bound(self):
+        assert not is_prime(PRIME_TEST_BOUND - 1)
+        for n in (PRIME_TEST_BOUND, PRIME_TEST_BOUND + 2, 10**30):
+            with pytest.raises(PrimeTooLarge):
+                is_prime(n)
+        with pytest.raises(PrimeTooLarge):
+            next_prime_above(PRIME_TEST_BOUND - 2)
 
 
 class TestRiemannHurwitz:
@@ -264,6 +329,28 @@ class TestMinPrime:
         gm = two_piece_graph([J])
         with pytest.raises(BoundaryCountTooSmall):
             min_prime_for_ehn_cover(gm, "A", [Slope(1, 5)])
+
+    def test_matches_stepping_loop(self):
+        rng = random.Random(606)
+        outcomes = set()
+        for _ in range(400):
+            genus, boundary = rng.randint(1, 5), rng.randint(1, 6)
+            scale = rng.choice((2, 3000))
+            slopes = []
+            while len(slopes) < boundary:
+                a, b = rng.randint(1, 6), rng.randint(-scale, scale)
+                if math.gcd(a, abs(b)) == 1:
+                    slopes.append(Slope(a, b))
+            gm = GraphManifold((BundlePiece("A", genus, boundary),), ())
+            results = []
+            for search in (stepping_min_prime, min_prime_for_ehn_cover):
+                try:
+                    results.append(search(gm, "A", slopes))
+                except BoundaryCountTooSmall:
+                    results.append("boundary-too-small")
+            assert results[0] == results[1], (genus, boundary, slopes)
+            outcomes.add(results[0] if results[0] in (1, "boundary-too-small") else "tower")
+        assert outcomes == {1, "boundary-too-small", "tower"}
 
 
 class TestRandomizedBookkeeping:
