@@ -200,7 +200,7 @@ def build_argvs(inputs: dict[str, bytes]) -> list[list[str]]:
         [
             ["validate", *corpus],
             ["invariants", "--pretty", *corpus],
-            ["volume-bound", "--jobs", "2", *corpus],
+            ["volume-bound", *corpus],
             ["volume-bound", "--alpha-bound", "7", corpus[0]],
             ["invariants", corpus[0], "inputs/unused-slot.json", corpus[1]],
             ["cover", "inputs/corpus-star-3.json", "--mode", "genus-raising",
