@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 from . import classify as classify_mod
@@ -27,7 +27,7 @@ from .errors import GmanvolError, ParseError, ValidationError
 from .graph import (
     GraphManifold,
     _expect_int,
-    absolute_euler_number,
+    _short_repr,
     canonical_framing,
     filled_piece_invariants,
     graph_from_document,
@@ -59,9 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("files", nargs="+", type=Path, help="input JSON document(s)")
         p.add_argument("--pretty", action="store_true", help="indented output")
-        p.add_argument(
-            "--jobs", type=int, default=1, help="process input files in parallel"
-        )
 
     add_common(sub.add_parser("validate", help="report structural violations"))
     add_common(sub.add_parser("invariants", help="filled invariants per piece"))
@@ -119,19 +116,22 @@ def _run_validate(path: Path, args) -> tuple[dict | list, int]:
 def _run_invariants(path: Path, args) -> tuple[dict, int]:
     gm = _load_valid_graph(path)
     pieces = {}
+    absolute = Fraction(0)
     for piece in gm.pieces:
         framing = canonical_framing(gm, piece.id)
         filled = filled_piece_invariants(gm, piece.id, framing)
+        e = euler_number(filled)
+        absolute += abs(e)
         pieces[piece.id] = {
             "genus": piece.genus,
             "boundary": piece.boundary,
             "canonical_framing": [[s.a, s.b] for s in framing],
-            "filled_euler_number": format_rational(euler_number(filled)),
+            "filled_euler_number": format_rational(e),
             "filled_orbifold_euler_char": format_rational(orbifold_euler_char(filled)),
             "filled_geometry": geometry_type(filled).value,
         }
     doc = {
-        "absolute_euler_number": format_rational(absolute_euler_number(gm)),
+        "absolute_euler_number": format_rational(absolute),
         "pieces": pieces,
     }
     return doc, EXIT_OK
@@ -149,7 +149,8 @@ def _run_cover(path: Path, args) -> tuple[dict, int]:
 
 
 def _run_volume_bound(path: Path, args) -> tuple[dict, int]:
-    gm = _load_valid_graph(path)
+    # volume_lower_bound validates the graph itself.
+    gm = graph_from_document(_load_document(path))
     cert = volume_lower_bound(gm, VolumeConfig(alpha_bound=args.alpha_bound))
     return cert.to_document(), EXIT_OK
 
@@ -179,7 +180,7 @@ def _description_from_document(doc) -> classify_mod.PrimeManifoldDescription:
         return classify_mod.PrimeManifoldDescription.torus_bundle_covered()
     if kind == classify_mod.KIND_HYPERBOLIC:
         return classify_mod.PrimeManifoldDescription.hyperbolic()
-    raise ParseError(f"unknown manifold kind {kind!r}")
+    raise ParseError(f"unknown manifold kind {_short_repr(kind)}")
 
 
 def _run_classify(path: Path, args) -> tuple[dict, int]:
@@ -219,26 +220,15 @@ def run(argv, stdout=None, stderr=None) -> int:
     args = _build_parser().parse_args(argv)
     runner = _RUNNERS[args.verb]
 
-    def process(path: Path):
+    # Files are handled in input order; the first failure ends the run.
+    for path in args.files:
         try:
-            return runner(path, args), None
+            document, code = runner(path, args)
         except GmanvolError as exc:
-            return None, exc
-
-    if args.jobs > 1 and len(args.files) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(process, args.files))
-    else:
-        results = [process(path) for path in args.files]
-
-    # Outputs are flushed in input order; the first failure wins.
-    for path, (result, exc) in zip(args.files, results):
-        if exc is not None:
             doc = _error_document(exc)
             doc["file"] = str(path)
             stderr.write(canonical_json_bytes(doc).decode("utf-8") + "\n")
             return _exit_code_for(exc)
-        document, code = result
         stdout.write(
             canonical_json_bytes(document, pretty=args.pretty).decode("utf-8") + "\n"
         )

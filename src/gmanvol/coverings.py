@@ -66,6 +66,7 @@ from .graph import (
     _edge_sort_key,
     _expect_int,
     _expect_list,
+    _short_repr,
     filled_piece_invariants,
     graph_from_document,
     graph_to_document,
@@ -513,7 +514,7 @@ def covered_graph_from_document(doc: dict) -> CoveredGraph:
 
 def _record_from_document(record) -> PieceCoverRecord:
     if not isinstance(record, dict) or not isinstance(record.get("over"), str):
-        raise ParseError(f"malformed covering record: {record!r}")
+        raise ParseError(f"malformed covering record: {_short_repr(record)}")
     return PieceCoverRecord(
         over=record["over"],
         vertical_degree=_expect_int(record["vertical_degree"], "vertical_degree"),

@@ -59,6 +59,10 @@ class CoverTooLarge(GmanvolError):
     """A requested cover would exceed the size limit on its pieces or tori."""
 
 
+class RationalTooLong(GmanvolError):
+    """An exact rational has more digits than can be printed."""
+
+
 class DisconnectedCover(GmanvolError):
     """Internal consistency failure: a constructed cover is disconnected."""
 

@@ -281,16 +281,16 @@ def graph_from_document(doc) -> GraphManifold:
     allowed = {"pieces", "edges", "certificate", "torus_map"}
     unknown = set(doc) - allowed
     if unknown:
-        raise ParseError(f"unexpected keys in document: {sorted(unknown)}")
+        raise ParseError(f"unexpected keys in document: {_short_repr(sorted(unknown))}")
     if "pieces" not in doc or "edges" not in doc:
         raise ParseError('document must contain "pieces" and "edges"')
 
     pieces = []
     for raw in _expect_list(doc["pieces"], "pieces"):
         if not isinstance(raw, dict) or set(raw) != {"id", "genus", "boundary"}:
-            raise ParseError(f"malformed piece entry: {raw!r}")
+            raise ParseError(f"malformed piece entry: {_short_repr(raw)}")
         if not isinstance(raw["id"], str):
-            raise ParseError(f"piece id must be a string: {raw['id']!r}")
+            raise ParseError(f"piece id must be a string: {_short_repr(raw['id'])}")
         pieces.append(
             BundlePiece(
                 id=_expect_encodable(raw["id"]),
@@ -302,7 +302,7 @@ def graph_from_document(doc) -> GraphManifold:
     edges = []
     for raw in _expect_list(doc["edges"], "edges"):
         if not isinstance(raw, dict) or set(raw) != {"tail", "head", "matrix"}:
-            raise ParseError(f"malformed edge entry: {raw!r}")
+            raise ParseError(f"malformed edge entry: {_short_repr(raw)}")
         edges.append(
             Edge(
                 tail=_expect_end(raw["tail"]),
@@ -406,6 +406,21 @@ def is_pm_j_form(gm: GraphManifold) -> bool:
     return all(edge.matrix.is_pm_j for edge in gm.edges)
 
 
+_SHORT_REPR_LENGTH = 80
+
+
+def _short_repr(value) -> str:
+    """The repr of an input value, cut to _SHORT_REPR_LENGTH characters.
+
+    Parse errors echo the offending input through this, so an error
+    message stays small however large the input is.
+    """
+    text = repr(value)
+    if len(text) <= _SHORT_REPR_LENGTH:
+        return text
+    return text[: _SHORT_REPR_LENGTH - 3] + "..."
+
+
 def _expect_list(value, name: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f'"{name}" must be a list')
@@ -414,7 +429,7 @@ def _expect_list(value, name: str) -> list:
 
 def _expect_int(value, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f'"{name}" must be an integer, got {value!r}')
+        raise ParseError(f'"{name}" must be an integer, got {_short_repr(value)}')
     return value
 
 
@@ -424,7 +439,7 @@ def _expect_end(value) -> tuple[str, int]:
         or len(value) != 2
         or not isinstance(value[0], str)
     ):
-        raise ParseError(f"malformed edge endpoint: {value!r}")
+        raise ParseError(f"malformed edge endpoint: {_short_repr(value)}")
     return (_expect_encodable(value[0]), _expect_int(value[1], "slot"))
 
 
@@ -433,7 +448,9 @@ def _expect_encodable(piece_id: str) -> str:
     try:
         piece_id.encode("utf-8")
     except UnicodeEncodeError:
-        raise ParseError(f"piece id {piece_id!r} cannot be encoded as UTF-8") from None
+        raise ParseError(
+            f"piece id {_short_repr(piece_id)} cannot be encoded as UTF-8"
+        ) from None
     return piece_id
 
 
@@ -443,7 +460,7 @@ def _expect_matrix(value) -> GluingMatrix:
         or len(value) != 2
         or any(not isinstance(row, list) or len(row) != 2 for row in value)
     ):
-        raise ParseError(f"malformed gluing matrix: {value!r}")
+        raise ParseError(f"malformed gluing matrix: {_short_repr(value)}")
     (a, b), (c, d) = value
     return GluingMatrix.of(
         _expect_int(a, "matrix entry"),

@@ -9,15 +9,28 @@ strings; they are never converted to floating point.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
+
+from .errors import RationalTooLong
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render an exact rational as "p" (integer) or "p/q" (reduced)."""
+    """Render an exact rational as "p" (integer) or "p/q" (reduced).
+
+    Raises RationalTooLong when the numerator or denominator has more
+    digits than the interpreter converts to text.
+    """
     f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:
+        raise RationalTooLong(
+            "an exact rational has more than "
+            f"{sys.get_int_max_str_digits()} digits and cannot be printed"
+        ) from None
 
 
 def canonical_json_bytes(document, pretty: bool = False) -> bytes:

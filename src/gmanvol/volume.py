@@ -14,14 +14,16 @@ All values are exact rational multiples of pi^2 and the emitted bound is a
 statement about the cover named in the certificate, never about the input
 manifold itself (volume can only be pushed down a covering, not up).
 
-The construction splits on the absolute Euler number |e| of the graph:
+The construction splits on the absolute Euler number |e| of the graph, the
+sum over pieces P of |e(P)|, where e(P) is the Euler number of P filled
+along its canonical framing; each e(P) is computed once per certificate.
 
-Case |e| != 0 (case1_bound).  Some piece keeps a nonzero Euler number after
-filling along its canonical framing.  A characteristic cover raises that
-piece's base genus until the foliation test passes; the flat connection on
-the filled piece contributes |cs| = 2 pi^2 |e|, every neighbor carries a
-connection that kills the fiber and contributes zero, and the certificate
-bound is the Godbillon-Vey value 4 pi^2 |e|.  What remains existential is
+Case |e| != 0 (case1_bound).  The chosen piece P has the largest |e(P)|
+(ties go to the smallest id).  A characteristic cover raises its base genus
+until the foliation test passes; the flat connection on the filled piece
+contributes |cs| = 2 pi^2 |e(P)|, every neighbor carries a connection that
+kills the fiber and contributes zero, and the certificate bound is the
+Godbillon-Vey value 4 pi^2 |e(P)|, not 4 pi^2 |e|.  What remains existential is
 the boundary translation data of the neighbors: realizing it as a product
 of commutators needs |sum of translation classes| < 2 genus - 1, and the
 certificate records the genus threshold under a configured bound on that
@@ -46,7 +48,6 @@ from .coverings import (
     CoveredGraph,
     certificate_to_document,
     characteristic_cover,
-    is_prime,
     min_prime_for_ehn_cover,
     next_prime_above,
 )
@@ -61,7 +62,6 @@ from .errors import (
 from .graph import (
     GraphManifold,
     Slope,
-    absolute_euler_number,
     canonical_framing,
     filled_piece_invariants,
     is_pm_j_form,
@@ -160,15 +160,14 @@ def _tower_for(gm: GraphManifold, q_needed: int) -> tuple[tuple[CoveredGraph, ..
     """Build the characteristic tower reaching the required prime, if any.
 
     The constructor needs a prime above every boundary count in the whole
-    graph; if the piece-level search returned a smaller prime, the next
-    admissible one is used instead (the foliation test only gets easier as
+    graph, so the prime used is the smallest one that is at least q_needed
+    and above every boundary count (the foliation test only gets easier as
     the covered genus grows).
     """
     if q_needed == 1:
         return (), gm, 1
     max_boundary = max(piece.boundary for piece in gm.pieces)
-    q = q_needed if q_needed > max_boundary else next_prime_above(max_boundary)
-    assert is_prime(q)
+    q = next_prime_above(max(q_needed - 1, max_boundary))
     stage = characteristic_cover(gm, q)
     return (stage,), stage.manifold, stage.certificate.total_degree
 
@@ -223,34 +222,39 @@ def _commutator_side_conditions(
     return conditions
 
 
-def case1_bound(gm: GraphManifold, config: VolumeConfig | None = None) -> VolumeCertificate:
-    """Certificate for the nonzero-absolute-Euler-number case.
-
-    Selects the piece with the largest |Euler number after filling along
-    its canonical framing| (ties broken by smallest id), covers the graph
-    until that filled piece passes the foliation test, and certifies the
-    bound 4 pi^2 |e| for the cover.
-    """
-    config = config or VolumeConfig()
-    filled_euler = {
+def _filled_euler_table(gm: GraphManifold) -> dict[str, Fraction]:
+    """Piece id -> Euler number of the piece filled along its canonical framing."""
+    return {
         piece.id: euler_number(
             filled_piece_invariants(gm, piece.id, canonical_framing(gm, piece.id))
         )
         for piece in gm.pieces
     }
-    if all(value == 0 for value in filled_euler.values()):
+
+
+def case1_bound(gm: GraphManifold, config: VolumeConfig | None = None) -> VolumeCertificate:
+    """Certificate for the nonzero-absolute-Euler-number case.
+
+    Selects the piece P with the largest |Euler number after filling along
+    its canonical framing| (ties broken by smallest id), covers the graph
+    until that filled piece passes the foliation test, and certifies the
+    bound 4 pi^2 |e(P)| for the cover.
+    """
+    filled_euler = _filled_euler_table(gm)
+    if not any(filled_euler.values()):
         raise WrongCase("absolute Euler number is zero; use the swap-form case")
+    return _case1_bound(gm, filled_euler, config or VolumeConfig())
+
+
+def _case1_bound(
+    gm: GraphManifold, filled_euler: dict[str, Fraction], config: VolumeConfig
+) -> VolumeCertificate:
     chosen = min(filled_euler, key=lambda pid: (-abs(filled_euler[pid]), pid))
     slopes = canonical_framing(gm, chosen)
 
     q_needed = min_prime_for_ehn_cover(gm, chosen, slopes)
     tower, covered, degree = _tower_for(gm, q_needed)
-    if not ehn_horizontal_foliation(filled_piece_invariants(covered, chosen, slopes)):
-        raise AssertionError("foliation test must hold at the emitted tower stage")
-
-    bound = gv_of_certified_connection(
-        PiSquaredValue(2 * abs(filled_euler[chosen]))
-    )
+    cs = cs_of_filled_piece(filled_piece_invariants(covered, chosen, slopes))
     side_conditions = _commutator_side_conditions(gm, (chosen,), config)
     return VolumeCertificate(
         case_tag=CASE_NONZERO,
@@ -262,7 +266,7 @@ def case1_bound(gm: GraphManifold, config: VolumeConfig | None = None) -> Volume
         filling_slopes={
             f"{chosen}:{slot}": slope for slot, slope in enumerate(slopes)
         },
-        bound=bound,
+        bound=gv_of_certified_connection(PiSquaredValue(abs(cs.coefficient))),
         side_conditions=tuple(side_conditions),
         covered_manifold=covered,
     )
@@ -325,9 +329,12 @@ def case2_bound(gm: GraphManifold, config: VolumeConfig | None = None) -> Volume
     graph until both filled pieces pass the foliation test, and certifies
     the bound 8 pi^2 r for the cover.
     """
-    config = config or VolumeConfig()
-    if absolute_euler_number(gm) != 0:
+    if any(_filled_euler_table(gm).values()):
         raise WrongCase("absolute Euler number is nonzero; use the nonzero case")
+    return _case2_bound(gm, config or VolumeConfig())
+
+
+def _case2_bound(gm: GraphManifold, config: VolumeConfig) -> VolumeCertificate:
     if not is_pm_j_form(gm):
         raise PMJFormRequired(
             "absolute Euler number is zero but the gluing matrices are not all "
@@ -341,21 +348,19 @@ def case2_bound(gm: GraphManifold, config: VolumeConfig | None = None) -> Volume
         pair = tuple(sorted((edge.tail[0], edge.head[0])))
         pair_count[pair] = pair_count.get(pair, 0) + 1
     piece1, piece2 = min(pair_count, key=lambda pair: (-pair_count[pair], pair))
-
-    e1, e2, r = case2_euler_pair(gm, piece1, piece2)
-    slopes1, slopes2, _ = _case2_filling_slopes(gm, piece1, piece2)
-    cs_magnitude = PiSquaredValue(2 * abs(e1) + 2 * abs(e2))
-    if cs_magnitude.coefficient != 4 * r:
-        raise AssertionError("combined Chern-Simons magnitude must equal 4r")
+    slopes1, slopes2, r = _case2_filling_slopes(gm, piece1, piece2)
 
     q_needed = max(
         min_prime_for_ehn_cover(gm, piece1, slopes1),
         min_prime_for_ehn_cover(gm, piece2, slopes2),
     )
     tower, covered, degree = _tower_for(gm, q_needed)
-    for pid, slopes in ((piece1, slopes1), (piece2, slopes2)):
-        if not ehn_horizontal_foliation(filled_piece_invariants(covered, pid, slopes)):
-            raise AssertionError("foliation test must hold at the emitted tower stage")
+    cs1 = cs_of_filled_piece(filled_piece_invariants(covered, piece1, slopes1))
+    cs2 = cs_of_filled_piece(filled_piece_invariants(covered, piece2, slopes2))
+    cs_magnitude = PiSquaredValue(abs(cs1.coefficient) + abs(cs2.coefficient))
+    if cs_magnitude.coefficient != 4 * r:
+        raise AssertionError("combined Chern-Simons magnitude must equal 4r")
+    e1, e2 = cs1.coefficient / 2, cs2.coefficient / 2
 
     side_conditions = [
         {
@@ -403,6 +408,7 @@ def volume_lower_bound(
     violations = validate(gm)
     if violations:
         raise ValidationError(violations)
-    if absolute_euler_number(gm) != 0:
-        return case1_bound(gm, config)
-    return case2_bound(gm, config)
+    filled_euler = _filled_euler_table(gm)
+    if any(filled_euler.values()):
+        return _case1_bound(gm, filled_euler, config or VolumeConfig())
+    return _case2_bound(gm, config or VolumeConfig())

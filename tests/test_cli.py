@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from gmanvol import parse_graph, verify_covering_certificate
+from gmanvol import ParseError, parse_graph, verify_covering_certificate
+from gmanvol import cli
 from gmanvol.cli import run
 from gmanvol.coverings import covered_graph_from_document
 
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def invoke(argv):
@@ -298,11 +300,22 @@ class TestExitCodesAndDeterminism:
         assert code == 0
         assert len(out.strip().splitlines()) == len(corpus_paths)
 
-    def test_jobs_flag_matches_sequential(self, corpus_paths):
-        argv = ["invariants"] + [str(p) for p in corpus_paths]
-        sequential = invoke(argv)
-        parallel = invoke(argv + ["--jobs", "4"])
-        assert sequential == parallel
+    def test_files_after_first_failure_are_not_read(self, corpus_paths, monkeypatch):
+        loaded = []
+        load = cli._load_document
+
+        def counting_load(path):
+            loaded.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli, "_load_document", counting_load)
+        good = str(corpus_paths[0])
+        invalid = str(GOLDEN_INPUTS / "unused-slot.json")
+        code, out, err = invoke(["invariants", good, invalid, good])
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert json.loads(err)["error"] == "ValidationError"
+        assert [str(p) for p in loaded] == [good, invalid]
 
     def test_pretty_flag(self, double_j):
         code, out, _ = invoke(["volume-bound", str(double_j), "--pretty"])
@@ -418,3 +431,54 @@ class TestHostileInputs:
             2,
             "CoverTooLarge",
         )
+
+    def test_rational_too_long_to_print(self, tmp_path):
+        # The input parses and validates, but the centre's filled Euler
+        # number has a denominator of about 5000 digits.
+        b = 10**1000
+        leaves = [f"L{k}" for k in range(5)]
+        doc = {
+            "pieces": [{"id": "C", "genus": 2, "boundary": 5}]
+            + [{"id": leaf, "genus": 2, "boundary": 1} for leaf in leaves],
+            "edges": [
+                {"tail": ["C", slot], "head": [leaf, 0],
+                 "matrix": [[1, b + k], [1, b + k - 1]]}
+                for slot, (leaf, k) in enumerate(zip(leaves, (1, 3, 7, 9, 13)))
+            ],
+        }
+        path = tmp_path / "long-rational.json"
+        path.write_text(json.dumps(doc))
+        self._expect_error(["invariants", str(path)], 2, "RationalTooLong")
+
+    def test_parse_errors_echo_bounded_input(self, tmp_path):
+        huge = "x" * 100_000
+        pair = [{"id": "A", "genus": 2, "boundary": 1}, {"id": "B", "genus": 2, "boundary": 1}]
+        swap = {"tail": ["A", 0], "head": ["B", 0], "matrix": [[0, 1], [1, 0]]}
+        cases = {
+            "piece": ("invariants", {"pieces": [{"id": huge}], "edges": []}),
+            "piece-id": ("invariants", {
+                "pieces": [{"id": [huge], "genus": 2, "boundary": 1}], "edges": []}),
+            "edge": ("invariants", {"pieces": pair, "edges": [{"tail": huge}]}),
+            "endpoint": ("invariants", {"pieces": pair, "edges": [{**swap, "tail": [huge]}]}),
+            "matrix": ("invariants", {"pieces": pair, "edges": [{**swap, "matrix": [huge]}]}),
+            "integer": ("invariants", {
+                "pieces": [{"id": "A", "genus": huge, "boundary": 1}], "edges": []}),
+            "keys": ("invariants", {"pieces": [], "edges": [], huge: 1}),
+            "kind": ("classify", {"kind": huge}),
+        }
+        for name, (verb, doc) in cases.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = invoke([verb, str(path)])
+            assert (code, out) == (3, ""), name
+            assert json.loads(err)["error"] == "ParseError", name
+            assert len(err.encode("utf-8")) < 1024, name
+
+    def test_covering_record_echo_is_bounded(self):
+        doc = {
+            "pieces": [], "edges": [], "torus_map": [],
+            "certificate": {"per_piece": {"A": {"over": 0, "pad": "x" * 100_000}}},
+        }
+        with pytest.raises(ParseError) as info:
+            covered_graph_from_document(doc)
+        assert len(str(info.value)) < 1024

@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 
@@ -30,6 +31,9 @@ from gmanvol import (
     verify_covering_certificate,
     volume_lower_bound,
 )
+import gmanvol.cli
+import gmanvol.graph
+import gmanvol.volume
 from gmanvol.serialize import canonical_json_bytes
 from builders import random_valid_graph, two_piece_graph
 
@@ -276,3 +280,55 @@ class TestDriver:
         assert doc["bound_pi2"] == "8"
         assert doc["chosen"] == {"pieces": ["A", "B"], "r": 1}
         assert doc["filling_slopes"] == {"A:0": [1, -1], "B:0": [1, -1]}
+
+
+class TestOnePass:
+    """Each certificate validates once and frames each piece once."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name, modules):
+        calls = []
+        original = getattr(gmanvol.graph, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def certified_graphs(self):
+        for style in ("generic", "pmj"):
+            for seed in range(12):
+                gm = random_valid_graph(random.Random(seed), style=style)
+                try:
+                    case = volume_lower_bound(gm).case_tag
+                except (PMJFormRequired, BoundaryCountTooSmall):
+                    continue
+                yield case, gm
+
+    def test_both_cases_are_covered(self):
+        assert {case for case, _ in self.certified_graphs()} == {"e_nonzero", "e_zero_pmj"}
+
+    def test_canonical_framing_at_most_pieces_plus_two(self, monkeypatch):
+        graphs = list(self.certified_graphs())
+        calls = self.count_calls(
+            monkeypatch, "canonical_framing", (gmanvol.graph, gmanvol.volume)
+        )
+        for _, gm in graphs:
+            calls.clear()
+            volume_lower_bound(gm)
+            assert len(calls) <= len(gm.pieces) + 2
+
+    def test_volume_bound_verb_validates_once(self, monkeypatch, tmp_path):
+        graphs = list(self.certified_graphs())
+        calls = self.count_calls(
+            monkeypatch, "validate", (gmanvol.graph, gmanvol.volume, gmanvol.cli)
+        )
+        for index, (_, gm) in enumerate(graphs):
+            path = tmp_path / f"graph-{index}.json"
+            path.write_bytes(canonical_json_bytes(gmanvol.graph.graph_to_document(gm)))
+            calls.clear()
+            assert gmanvol.cli.run(["volume-bound", str(path)], io.StringIO(), io.StringIO()) == 0
+            assert len(calls) == 1
