@@ -16,6 +16,7 @@ failure, 2 unsupported input, 3 parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -33,12 +34,7 @@ from .graph import (
     graph_from_document,
     validate,
 )
-from .seifert import (
-    SeifertInvariants,
-    euler_number,
-    geometry_type,
-    orbifold_euler_char,
-)
+from .seifert import SeifertInvariants, _geometry, euler_number, orbifold_euler_char
 from .serialize import canonical_json_bytes, format_rational
 from .volume import VolumeConfig, volume_lower_bound
 
@@ -48,7 +44,10 @@ EXIT_UNSUPPORTED = 2
 EXIT_PARSE = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first run, not at import, and reused by every later run
+    # in the process: parse_args leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="gmanvol",
         description="Invariants, coverings and Seifert-volume certificates "
@@ -121,14 +120,15 @@ def _run_invariants(path: Path, args) -> tuple[dict, int]:
         framing = canonical_framing(gm, piece.id)
         filled = filled_piece_invariants(gm, piece.id, framing)
         e = euler_number(filled)
+        chi = orbifold_euler_char(filled)
         absolute += abs(e)
         pieces[piece.id] = {
             "genus": piece.genus,
             "boundary": piece.boundary,
             "canonical_framing": [[s.a, s.b] for s in framing],
             "filled_euler_number": format_rational(e),
-            "filled_orbifold_euler_char": format_rational(orbifold_euler_char(filled)),
-            "filled_geometry": geometry_type(filled).value,
+            "filled_orbifold_euler_char": format_rational(chi),
+            "filled_geometry": _geometry(e, chi).value,
         }
     doc = {
         "absolute_euler_number": format_rational(absolute),

@@ -66,6 +66,7 @@ from .graph import (
     _edge_sort_key,
     _expect_int,
     _expect_list,
+    _is_connected,
     _short_repr,
     filled_piece_invariants,
     graph_from_document,
@@ -314,7 +315,7 @@ def genus_raising_cover(gm: GraphManifold, center: str, q: int) -> CoveredGraph:
     lifted.sort(key=lambda pair: _edge_sort_key(pair[0]))
 
     manifold = GraphManifold(tuple(pieces), tuple(edge for edge, _ in lifted))
-    if "graph is not connected" in validate(manifold):
+    if not _is_connected(manifold):
         raise DisconnectedCover(
             "genus-raising cover came out disconnected; this is a bug"
         )

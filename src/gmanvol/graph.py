@@ -258,20 +258,27 @@ def validate(gm: GraphManifold) -> list[str]:
 
     if not gm.edges:
         violations.append("graph has no edges")
-    elif not violations:
+    elif not violations and not _is_connected(gm):
         # Connectivity is only meaningful once the incidence data is sane.
-        neighbors = gm._incidence.neighbors
-        reached = {gm.pieces[0].id}
-        frontier = [gm.pieces[0].id]
-        while frontier:
-            current = frontier.pop()
-            for neighbor in neighbors.get(current, ()):
-                if neighbor not in reached:
-                    reached.add(neighbor)
-                    frontier.append(neighbor)
-        if len(reached) != len(gm.pieces):
-            violations.append("graph is not connected")
+        violations.append("graph is not connected")
     return violations
+
+
+def _is_connected(gm: GraphManifold) -> bool:
+    """Whether a search from the first piece reaches every piece.
+
+    The graph must have at least one piece and distinct piece ids.
+    """
+    neighbors = gm._incidence.neighbors
+    reached = {gm.pieces[0].id}
+    frontier = [gm.pieces[0].id]
+    while frontier:
+        current = frontier.pop()
+        for neighbor in neighbors.get(current, ()):
+            if neighbor not in reached:
+                reached.add(neighbor)
+                frontier.append(neighbor)
+    return len(reached) == len(gm.pieces)
 
 
 def graph_from_document(doc) -> GraphManifold:

@@ -10,7 +10,10 @@ datum (g, [(1, e)]).  The two fundamental numerical invariants are
 
 and the pair of signs (e, chi) determines which of the six Seifert
 geometries the manifold carries.  All arithmetic in this module is exact;
-no operation ever produces a float.
+no operation ever produces a float.  Each invariant is summed in plain
+integers over one common denominator, the product of the alpha_i, and
+reduced to a Fraction once; floors and ceilings of beta_i/alpha_i come from
+integer floor division.
 
 The decision procedures included here are the Milnor-Wood inequality for
 flat circle bundles and the Eisenbud-Hirsch-Neumann floor/ceiling test for
@@ -34,6 +37,7 @@ from .errors import EmptyInput, FiberSlope, GenusZeroUnsupported
 class SeifertInvariants:
     """Closed Seifert datum (g, 0; beta_1/alpha_1, ..., beta_l/alpha_l).
 
+    The genus and every alpha and beta must be ints (bool is rejected).
     Each pair (alpha, beta) must be coprime with alpha >= 1; a pair with
     beta = 0 therefore forces alpha = 1.  The list may be empty.
     """
@@ -42,18 +46,23 @@ class SeifertInvariants:
     exceptional: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        _require_int(self.genus, "genus")
         if self.genus < 0:
             raise ValueError(f"genus must be non-negative, got {self.genus}")
-        pairs = tuple((int(a), int(b)) for a, b in self.exceptional)
+        pairs = tuple((a, b) for a, b in self.exceptional)
         for alpha, beta in pairs:
+            _require_int(alpha, "alpha")
+            _require_int(beta, "beta")
             if alpha < 1:
                 raise ValueError(f"alpha must be positive, got {alpha}")
             if math.gcd(alpha, abs(beta)) != 1:
                 raise ValueError(f"filling pair ({alpha}, {beta}) is not coprime")
         object.__setattr__(self, "exceptional", pairs)
 
-    def ratios(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(b, a) for a, b in self.exceptional)
+
+def _require_int(value, name: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 class GeometryType(Enum):
@@ -83,21 +92,27 @@ class TranslationClass:
 
 def euler_number(inv: SeifertInvariants) -> Fraction:
     """Euler number of the Seifert fibration, sum of beta_i/alpha_i."""
-    return sum(inv.ratios(), Fraction(0))
+    num, den = 0, 1
+    for alpha, beta in inv.exceptional:
+        num, den = num * alpha + beta * den, den * alpha
+    return Fraction(num, den)
 
 
 def orbifold_euler_char(inv: SeifertInvariants) -> Fraction:
     """Euler characteristic of the base orbifold, 2 - 2g - sum(1 - 1/alpha_i)."""
-    total = Fraction(2 - 2 * inv.genus)
+    # Rewritten as (2 - 2g - l) + sum 1/alpha_i for l exceptional pairs.
+    num, den = 2 - 2 * inv.genus - len(inv.exceptional), 1
     for alpha, _ in inv.exceptional:
-        total -= 1 - Fraction(1, alpha)
-    return total
+        num, den = num * alpha + den, den * alpha
+    return Fraction(num, den)
 
 
 def geometry_type(inv: SeifertInvariants) -> GeometryType:
     """Classify the geometry from the signs of (euler number, orbifold chi)."""
-    e = euler_number(inv)
-    chi = orbifold_euler_char(inv)
+    return _geometry(euler_number(inv), orbifold_euler_char(inv))
+
+
+def _geometry(e: Fraction, chi: Fraction) -> GeometryType:
     if chi < 0:
         return GeometryType.SL2TILDE if e != 0 else GeometryType.H2XR
     if chi == 0:
@@ -123,8 +138,8 @@ def ehn_horizontal_foliation(inv: SeifertInvariants) -> bool:
     """
     if inv.genus < 1:
         raise GenusZeroUnsupported("horizontal foliation test requires genus >= 1")
-    floors = sum(math.floor(r) for r in inv.ratios())
-    ceilings = sum(math.ceil(r) for r in inv.ratios())
+    floors = sum(b // a for a, b in inv.exceptional)
+    ceilings = sum(-(-b // a) for a, b in inv.exceptional)
     return floors <= 2 * inv.genus - 2 and ceilings >= 2 - 2 * inv.genus
 
 
@@ -135,8 +150,8 @@ def min_genus_for_ehn(exceptional: Iterable[tuple[int, int]]) -> int:
     two closed-form thresholds (and at least 1).
     """
     pairs = tuple(exceptional)
-    floors = sum(math.floor(Fraction(b, a)) for a, b in pairs)
-    ceilings = sum(math.ceil(Fraction(b, a)) for a, b in pairs)
+    floors = sum(b // a for a, b in pairs)
+    ceilings = sum(-(-b // a) for a, b in pairs)
     # floors <= 2g - 2  <=>  g >= (floors + 2) / 2
     # ceilings >= 2 - 2g  <=>  g >= (2 - ceilings) / 2
     need_floor = -((-(floors + 2)) // 2)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from gmanvol import ParseError, parse_graph, verify_covering_certificate
-from gmanvol import cli
+from gmanvol import cli, seifert
 from gmanvol.cli import run
 from gmanvol.coverings import covered_graph_from_document
 
@@ -94,6 +94,30 @@ class TestInvariantsVerb:
         code, out, _ = invoke(["invariants", str(double_j)])
         doc = json.loads(out)
         assert doc["pieces"]["A"]["filled_geometry"] == "h2xr"
+
+    def test_each_invariant_computed_once_per_piece(self, corpus_paths, monkeypatch):
+        calls = {"euler_number": 0, "orbifold_euler_char": 0}
+
+        def counted(name):
+            original = getattr(seifert, name)
+
+            def wrapper(inv):
+                calls[name] += 1
+                return original(inv)
+
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name)
+            monkeypatch.setattr(cli, name, wrapper)
+            monkeypatch.setattr(seifert, name, wrapper)
+        for path in corpus_paths:
+            for name in calls:
+                calls[name] = 0
+            code, out, _ = invoke(["invariants", str(path)])
+            assert code == 0
+            pieces = len(json.loads(out)["pieces"])
+            assert calls == {"euler_number": pieces, "orbifold_euler_char": pieces}
 
 
 class TestCoverVerb:
@@ -322,6 +346,28 @@ class TestExitCodesAndDeterminism:
         assert code == 0
         assert out.startswith("{\n")
         assert json.loads(out)["bound_pi2"] == "8"
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_flags_do_not_carry_over(self):
+        path = str(GOLDEN_INPUTS / "unused-slot.json")
+        code, pretty, _ = invoke(["validate", "--pretty", path])
+        assert code == 1
+        assert len(pretty.splitlines()) > 1
+        code, compact, _ = invoke(["validate", path])
+        assert code == 1
+        assert len(compact.splitlines()) == 1
+        assert json.loads(compact) == json.loads(pretty)
+
+    def test_missing_files_exit_two_every_time(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                invoke(["validate"])
+            assert exc.value.code == 2
+            assert "files" in capsys.readouterr().err
 
 
 class TestHostileInputs:

@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import pytest
 
+import gmanvol.coverings
 from gmanvol import (
     BoundaryCountTooSmall,
     BundlePiece,
     CoveredGraph,
+    DisconnectedCover,
     Edge,
     GluingMatrix,
     GraphManifold,
@@ -40,6 +42,7 @@ from gmanvol.coverings import (
     is_prime,
     next_prime_above,
 )
+from gmanvol.serialize import canonical_json_bytes
 from builders import random_cycle_graph, two_piece_graph
 
 M1110 = GluingMatrix.of(1, 1, 1, 0)
@@ -250,6 +253,23 @@ class TestGenusRaisingCover:
     def test_not_prime(self):
         with pytest.raises(NotPrime):
             genus_raising_cover(two_piece_graph([J]), "A", 6)
+
+    def test_connectivity_check_needs_no_validate(self, corpus_paths, monkeypatch):
+        path = next(p for p in corpus_paths if p.name == "star-3.json")
+        star = parse_graph(path.read_bytes())
+        expected = covered_graph_to_document(genus_raising_cover(star, "Z", 3))
+
+        def refuse(gm):
+            raise AssertionError("genus_raising_cover must not run validate")
+
+        monkeypatch.setattr(gmanvol.coverings, "validate", refuse)
+        got = covered_graph_to_document(genus_raising_cover(star, "Z", 3))
+        assert canonical_json_bytes(got) == canonical_json_bytes(expected)
+
+    def test_disconnected_cover_raises(self, monkeypatch):
+        monkeypatch.setattr(gmanvol.coverings, "_is_connected", lambda gm: False)
+        with pytest.raises(DisconnectedCover):
+            genus_raising_cover(two_piece_graph([J]), "A", 3)
 
     def test_corpus_validates_and_connects(self, corpus_paths):
         for path in corpus_paths:

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gmanvol.seifert
 from gmanvol import (
     EmptyInput,
     FiberSlope,
@@ -220,3 +222,120 @@ class TestInvariantsValidation:
     def test_negative_genus_rejected(self):
         with pytest.raises(ValueError):
             SeifertInvariants(-1)
+
+    @pytest.mark.parametrize(
+        "genus, pairs",
+        [
+            (1, ((2.7, 1),)),
+            (1, (("3", 1),)),
+            (1, ((True, 1),)),
+            (1, ((3, 1.0),)),
+            (1, ((3, "1"),)),
+            (1, ((1, False),)),
+            (2.5, ()),
+            (2.0, ()),
+            ("2", ()),
+            (True, ()),
+        ],
+    )
+    def test_non_integers_rejected(self, genus, pairs):
+        with pytest.raises(TypeError):
+            SeifertInvariants(genus, pairs)
+
+
+def reference_euler_number(inv):
+    return sum((Fraction(b, a) for a, b in inv.exceptional), Fraction(0))
+
+
+def reference_orbifold_euler_char(inv):
+    total = Fraction(2 - 2 * inv.genus)
+    for alpha, _ in inv.exceptional:
+        total -= 1 - Fraction(1, alpha)
+    return total
+
+
+def reference_geometry_type(inv):
+    e = reference_euler_number(inv)
+    chi = reference_orbifold_euler_char(inv)
+    if chi < 0:
+        return GeometryType.SL2TILDE if e != 0 else GeometryType.H2XR
+    if chi == 0:
+        return GeometryType.NIL if e != 0 else GeometryType.EUCLIDEAN
+    return GeometryType.SPHERICAL if e != 0 else GeometryType.S2XR
+
+
+def reference_floor_ceil_sums(pairs):
+    floors = sum(math.floor(Fraction(b, a)) for a, b in pairs)
+    ceilings = sum(math.ceil(Fraction(b, a)) for a, b in pairs)
+    return floors, ceilings
+
+
+def reference_ehn_horizontal_foliation(inv):
+    floors, ceilings = reference_floor_ceil_sums(inv.exceptional)
+    return floors <= 2 * inv.genus - 2 and ceilings >= 2 - 2 * inv.genus
+
+
+def reference_min_genus_for_ehn(pairs):
+    floors, ceilings = reference_floor_ceil_sums(pairs)
+    return max(1, math.ceil(Fraction(floors + 2, 2)), math.ceil(Fraction(2 - ceilings, 2)))
+
+
+BIG = 10**40
+
+
+@st.composite
+def big_filling_pairs(draw):
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        alpha = draw(st.integers(1, BIG))
+        beta = draw(st.integers(-BIG, BIG))
+        common = math.gcd(alpha, abs(beta))
+        pairs.append((alpha // common, beta // common))
+    return tuple(pairs)
+
+
+class TestIntegerArithmeticMatchesFractions:
+    """The integer sums agree exactly with the per-term Fraction formulas."""
+
+    @given(st.integers(0, 6), big_filling_pairs())
+    def test_invariants(self, genus, pairs):
+        inv = SeifertInvariants(genus, pairs)
+        assert euler_number(inv) == reference_euler_number(inv)
+        assert orbifold_euler_char(inv) == reference_orbifold_euler_char(inv)
+        assert geometry_type(inv) is reference_geometry_type(inv)
+        if genus == 0:
+            with pytest.raises(GenusZeroUnsupported):
+                ehn_horizontal_foliation(inv)
+        else:
+            assert ehn_horizontal_foliation(inv) is reference_ehn_horizontal_foliation(inv)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-BIG, BIG).filter(lambda a: a != 0),
+                st.integers(-BIG, BIG),
+            ),
+            max_size=8,
+        )
+    )
+    def test_min_genus_on_raw_pairs(self, pairs):
+        # Raw pairs are neither normalized nor coprime; alpha may be negative.
+        assert min_genus_for_ehn(pairs) == reference_min_genus_for_ehn(pairs)
+
+    @pytest.mark.parametrize("function", [euler_number, orbifold_euler_char])
+    def test_one_fraction_per_call(self, function, monkeypatch):
+        built = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(gmanvol.seifert, "Fraction", CountingFraction)
+        inv = SeifertInvariants(2, ((2, 1), (3, -1), (5, 2), (7, 3)))
+        value = function(inv)
+        assert len(built) == 1
+        assert value == {
+            euler_number: reference_euler_number,
+            orbifold_euler_char: reference_orbifold_euler_char,
+        }[function](inv)
