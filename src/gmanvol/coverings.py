@@ -63,8 +63,10 @@ from .graph import (
     Edge,
     GraphManifold,
     Slope,
+    _DOCUMENT_KEYS,
     _edge_sort_key,
     _expect_int,
+    _expect_keys,
     _expect_list,
     _is_connected,
     _short_repr,
@@ -76,7 +78,7 @@ from .graph import (
 from .seifert import ehn_horizontal_foliation, min_genus_for_ehn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PieceCoverRecord:
     """How one covering piece lies over its downstairs piece."""
 
@@ -475,12 +477,23 @@ def covered_graph_to_document(cov: CoveredGraph) -> dict:
     return doc
 
 
+_CERTIFICATE_KEYS = frozenset(
+    ("total_degree", "characteristic_level", "separable", "separable_case", "per_piece")
+)
+_RECORD_KEYS = frozenset(
+    ("over", "vertical_degree", "horizontal_degree", "genus_up", "boundary_up")
+)
+
+
 def covered_graph_from_document(doc: dict) -> CoveredGraph:
     """Rebuild a CoveredGraph from its document, for certificate re-checking.
 
     Every integer field of the certificate, of its records and of the torus
-    map must be a JSON integer (not a bool, float or string); anything else
-    raises ParseError.
+    map must be a JSON integer (not a bool, float or string), separable a
+    JSON bool and separable_case a string, and no object may carry a key
+    beyond its fields; anything else raises ParseError.  The key and the
+    separability checks come after the others, so an input that fails one
+    of those reports that failure.
     """
     if not isinstance(doc, dict) or "certificate" not in doc or "torus_map" not in doc:
         raise ParseError('covered graph document needs "certificate" and "torus_map"')
@@ -510,18 +523,41 @@ def covered_graph_from_document(doc: dict) -> CoveredGraph:
         _expect_int(entry, "torus_map entry")
         for entry in _expect_list(doc["torus_map"], "torus_map")
     )
+    for record in raw["per_piece"].values():
+        _expect_keys(record, _RECORD_KEYS, "covering record")
+    _expect_keys(raw, _CERTIFICATE_KEYS, "covering certificate")
+    if not isinstance(certificate.separable, bool):
+        raise ParseError(
+            f'"separable" must be a boolean, got {_short_repr(certificate.separable)}'
+        )
+    if not isinstance(certificate.separable_case, str):
+        raise ParseError(
+            '"separable_case" must be a string, got '
+            f"{_short_repr(certificate.separable_case)}"
+        )
+    _expect_keys(doc, _DOCUMENT_KEYS, "covered graph document")
     return CoveredGraph(manifold=manifold, certificate=certificate, torus_map=torus_map)
 
 
 def _record_from_document(record) -> PieceCoverRecord:
     if not isinstance(record, dict) or not isinstance(record.get("over"), str):
         raise ParseError(f"malformed covering record: {_short_repr(record)}")
+    vertical = record["vertical_degree"]
+    if type(vertical) is not int:
+        vertical = _expect_int(vertical, "vertical_degree")
+    horizontal = record["horizontal_degree"]
+    if type(horizontal) is not int:
+        horizontal = _expect_int(horizontal, "horizontal_degree")
+    genus_up = record["genus_up"]
+    if type(genus_up) is not int:
+        genus_up = _expect_int(genus_up, "genus_up")
+    boundary_up = record["boundary_up"]
+    if type(boundary_up) is not int:
+        boundary_up = _expect_int(boundary_up, "boundary_up")
     return PieceCoverRecord(
         over=record["over"],
-        vertical_degree=_expect_int(record["vertical_degree"], "vertical_degree"),
-        horizontal_degree=_expect_int(
-            record["horizontal_degree"], "horizontal_degree"
-        ),
-        genus_up=_expect_int(record["genus_up"], "genus_up"),
-        boundary_up=_expect_int(record["boundary_up"], "boundary_up"),
+        vertical_degree=vertical,
+        horizontal_degree=horizontal,
+        genus_up=genus_up,
+        boundary_up=boundary_up,
     )

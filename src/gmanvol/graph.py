@@ -31,6 +31,12 @@ edges sorted by (tail, head, matrix)):
                 "matrix": [[0, 1], [1, 0]]}, ...]}
 
 Slots are 0-based indices into a piece's boundary components.
+
+A document is decoded in one typed pass: every field is type-checked as
+its value object is built, in document order, and equal gluing matrices
+share one object.  The per-element value classes (Slope, GluingMatrix,
+BundlePiece, Edge) are slotted, so they carry no per-instance __dict__;
+GraphManifold keeps one for its cached incidence index.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
@@ -47,7 +54,7 @@ from .seifert import SeifertInvariants, euler_number, fill_framed_piece
 from .serialize import canonical_json_bytes
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Slope:
     """A primitive curve class (a, b) in a section-fiber basis.
 
@@ -83,7 +90,7 @@ class Slope:
 FIBER = Slope(0, 1)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class GluingMatrix:
     """2 x 2 integer matrix [[a, b], [c, d]] acting on curve coordinates."""
 
@@ -119,7 +126,7 @@ J = GluingMatrix.of(0, 1, 1, 0)
 MINUS_J = GluingMatrix.of(0, -1, -1, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BundlePiece:
     """A trivial circle bundle over a genus >= 2 surface with boundary tori."""
 
@@ -128,7 +135,7 @@ class BundlePiece:
     boundary: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A directed gluing torus between two boundary slots."""
 
@@ -137,8 +144,7 @@ class Edge:
     matrix: GluingMatrix
 
 
-def _edge_sort_key(edge: Edge):
-    return (edge.tail, edge.head, edge.matrix.rows)
+_edge_sort_key = attrgetter("tail", "head", "matrix.rows")
 
 
 class _Incidence(NamedTuple):
@@ -162,7 +168,7 @@ class GraphManifold:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        pieces = tuple(sorted(self.pieces, key=lambda p: p.id))
+        pieces = tuple(sorted(self.pieces, key=attrgetter("id")))
         edges = tuple(sorted(self.edges, key=_edge_sort_key))
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "edges", edges)
@@ -223,38 +229,60 @@ def validate(gm: GraphManifold) -> list[str]:
         if piece.boundary < 1:
             violations.append(f"piece {piece.id!r}: boundary count below 1")
 
-    by_id = {p.id: p for p in gm.pieces}
+    # Slot ranges come from the last piece of a duplicated id, unlike the
+    # incidence index, where the first one wins.
+    boundary_of = {piece.id: piece.boundary for piece in gm.pieces}
     usage: dict[tuple[str, int], int] = {}
     for index, edge in enumerate(gm.edges):
-        for side, (pid, slot) in (("tail", edge.tail), ("head", edge.head)):
-            if pid not in by_id:
-                violations.append(f"edge {index}: unknown piece id {pid!r} on {side}")
-            elif not 0 <= slot < by_id[pid].boundary:
-                violations.append(
-                    f"edge {index}: slot {slot} out of range for piece {pid!r}"
-                )
-            usage[(pid, slot)] = usage.get((pid, slot), 0) + 1
-        if edge.tail[0] == edge.head[0]:
+        tail, head = edge.tail, edge.head
+        tail_id, tail_slot = tail
+        head_id, head_slot = head
+        boundary = boundary_of.get(tail_id)
+        if boundary is None:
+            violations.append(f"edge {index}: unknown piece id {tail_id!r} on tail")
+        elif not 0 <= tail_slot < boundary:
+            violations.append(
+                f"edge {index}: slot {tail_slot} out of range for piece {tail_id!r}"
+            )
+        usage[tail] = usage.get(tail, 0) + 1
+        boundary = boundary_of.get(head_id)
+        if boundary is None:
+            violations.append(f"edge {index}: unknown piece id {head_id!r} on head")
+        elif not 0 <= head_slot < boundary:
+            violations.append(
+                f"edge {index}: slot {head_slot} out of range for piece {head_id!r}"
+            )
+        usage[head] = usage.get(head, 0) + 1
+        if tail_id == head_id:
             violations.append(f"edge {index}: edge joins a piece to itself")
-        det = edge.matrix.det
+        (a, b), (c, d) = edge.matrix.rows
+        det = a * d - b * c
         if det != -1:
             violations.append(
                 f"edge {index}: determinant of gluing matrix is {det}, not -1"
             )
-        if edge.matrix.rows[0][1] == 0:
+        if b == 0:
             violations.append(
                 f"edge {index}: minimality violated, the fiber maps to a fiber "
                 "(upper-right entry is 0)"
             )
 
-    for piece in gm.pieces:
-        for slot in range(piece.boundary):
-            count = usage.get((piece.id, slot), 0)
-            if count != 1:
-                violations.append(
-                    f"slot {piece.id!r}[{slot}] used by {count} edge endpoints, "
-                    "expected exactly 1"
-                )
+    # Slots are integers.  With no violation so far, every endpoint names a
+    # slot in range of its piece, so when the distinct endpoints are as many
+    # as the endpoints and as the slots, each slot is used exactly once and
+    # the per-slot scan would find nothing.
+    if violations or not len(usage) == 2 * len(gm.edges) == sum(
+        piece.boundary for piece in gm.pieces
+    ):
+        for piece in gm.pieces:
+            piece_id = piece.id
+            for slot in range(piece.boundary):
+                count = usage.get((piece_id, slot), 0)
+                if count != 1:
+                    violations.append(
+                        f"slot {piece_id!r}[{slot}] used by {count} edge endpoints, "
+                        "expected exactly 1"
+                    )
 
     if not gm.edges:
         violations.append("graph has no edges")
@@ -281,42 +309,70 @@ def _is_connected(gm: GraphManifold) -> bool:
     return len(reached) == len(gm.pieces)
 
 
+_DOCUMENT_KEYS = frozenset(("pieces", "edges", "certificate", "torus_map"))
+_PIECE_KEYS = frozenset(("id", "genus", "boundary"))
+_EDGE_KEYS = frozenset(("tail", "head", "matrix"))
+
+
 def graph_from_document(doc) -> GraphManifold:
-    """Build a GraphManifold from a parsed JSON document without validating it."""
+    """Build a GraphManifold from a parsed JSON document without validating it.
+
+    One typed pass in document order: each entry is checked field by field
+    as it is built, so the first malformed field is the one reported.  An
+    exact int or an ASCII id passes on a type test alone.
+    """
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
-    allowed = {"pieces", "edges", "certificate", "torus_map"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ParseError(f"unexpected keys in document: {_short_repr(sorted(unknown))}")
+    _expect_keys(doc, _DOCUMENT_KEYS, "document")
     if "pieces" not in doc or "edges" not in doc:
         raise ParseError('document must contain "pieces" and "edges"')
 
     pieces = []
     for raw in _expect_list(doc["pieces"], "pieces"):
-        if not isinstance(raw, dict) or set(raw) != {"id", "genus", "boundary"}:
+        if not isinstance(raw, dict) or raw.keys() != _PIECE_KEYS:
             raise ParseError(f"malformed piece entry: {_short_repr(raw)}")
-        if not isinstance(raw["id"], str):
-            raise ParseError(f"piece id must be a string: {_short_repr(raw['id'])}")
-        pieces.append(
-            BundlePiece(
-                id=_expect_encodable(raw["id"]),
-                genus=_expect_int(raw["genus"], "genus"),
-                boundary=_expect_int(raw["boundary"], "boundary"),
-            )
-        )
+        piece_id, genus, boundary = raw["id"], raw["genus"], raw["boundary"]
+        if not isinstance(piece_id, str):
+            raise ParseError(f"piece id must be a string: {_short_repr(piece_id)}")
+        if not piece_id.isascii():
+            _expect_encodable(piece_id)
+        if type(genus) is not int:
+            genus = _expect_int(genus, "genus")
+        if type(boundary) is not int:
+            boundary = _expect_int(boundary, "boundary")
+        pieces.append(BundlePiece(piece_id, genus, boundary))
 
     edges = []
+    matrices: dict[tuple[int, int, int, int], GluingMatrix] = {}
     for raw in _expect_list(doc["edges"], "edges"):
-        if not isinstance(raw, dict) or set(raw) != {"tail", "head", "matrix"}:
+        if not isinstance(raw, dict) or raw.keys() != _EDGE_KEYS:
             raise ParseError(f"malformed edge entry: {_short_repr(raw)}")
-        edges.append(
-            Edge(
-                tail=_expect_end(raw["tail"]),
-                head=_expect_end(raw["head"]),
-                matrix=_expect_matrix(raw["matrix"]),
-            )
-        )
+        tail = _expect_end(raw["tail"])
+        head = _expect_end(raw["head"])
+        value = raw["matrix"]
+        if (
+            not isinstance(value, list)
+            or len(value) != 2
+            or not isinstance(value[0], list)
+            or len(value[0]) != 2
+            or not isinstance(value[1], list)
+            or len(value[1]) != 2
+        ):
+            raise ParseError(f"malformed gluing matrix: {_short_repr(value)}")
+        (a, b), (c, d) = value
+        if type(a) is not int:
+            a = _expect_int(a, "matrix entry")
+        if type(b) is not int:
+            b = _expect_int(b, "matrix entry")
+        if type(c) is not int:
+            c = _expect_int(c, "matrix entry")
+        if type(d) is not int:
+            d = _expect_int(d, "matrix entry")
+        key = (a, b, c, d)
+        matrix = matrices.get(key)
+        if matrix is None:
+            matrix = matrices[key] = GluingMatrix(((a, b), (c, d)))
+        edges.append(Edge(tail, head, matrix))
     return GraphManifold(tuple(pieces), tuple(edges))
 
 
@@ -434,6 +490,12 @@ def _expect_list(value, name: str) -> list:
     return value
 
 
+def _expect_keys(value: dict, allowed: frozenset, name: str) -> None:
+    if not value.keys() <= allowed:
+        unknown = sorted(value.keys() - allowed)
+        raise ParseError(f"unexpected keys in {name}: {_short_repr(unknown)}")
+
+
 def _expect_int(value, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f'"{name}" must be an integer, got {_short_repr(value)}')
@@ -447,10 +509,15 @@ def _expect_end(value) -> tuple[str, int]:
         or not isinstance(value[0], str)
     ):
         raise ParseError(f"malformed edge endpoint: {_short_repr(value)}")
-    return (_expect_encodable(value[0]), _expect_int(value[1], "slot"))
+    piece_id, slot = value
+    if not piece_id.isascii():
+        _expect_encodable(piece_id)
+    if type(slot) is not int:
+        slot = _expect_int(slot, "slot")
+    return (piece_id, slot)
 
 
-def _expect_encodable(piece_id: str) -> str:
+def _expect_encodable(piece_id: str) -> None:
     # A lone surrogate decodes from JSON but cannot be written back as UTF-8.
     try:
         piece_id.encode("utf-8")
@@ -458,20 +525,3 @@ def _expect_encodable(piece_id: str) -> str:
         raise ParseError(
             f"piece id {_short_repr(piece_id)} cannot be encoded as UTF-8"
         ) from None
-    return piece_id
-
-
-def _expect_matrix(value) -> GluingMatrix:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or any(not isinstance(row, list) or len(row) != 2 for row in value)
-    ):
-        raise ParseError(f"malformed gluing matrix: {_short_repr(value)}")
-    (a, b), (c, d) = value
-    return GluingMatrix.of(
-        _expect_int(a, "matrix entry"),
-        _expect_int(b, "matrix entry"),
-        _expect_int(c, "matrix entry"),
-        _expect_int(d, "matrix entry"),
-    )

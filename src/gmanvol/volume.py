@@ -53,6 +53,7 @@ from .coverings import (
 )
 from .errors import (
     EhnFails,
+    GmanvolError,
     NotAdjacent,
     NotPMJ,
     PMJFormRequired,
@@ -92,10 +93,17 @@ class VolumeConfig:
 
     alpha_bound is the assumed bound on the sum of boundary translation
     classes of each fiber-killed neighbor; it parameterizes the existential
-    genus side condition and nothing else.
+    genus side condition and nothing else.  It bounds an absolute value, so
+    a negative bound raises GmanvolError.
     """
 
     alpha_bound: int = 10**6
+
+    def __post_init__(self):
+        if self.alpha_bound < 0:
+            raise GmanvolError(
+                f"alpha_bound bounds an absolute value, so it cannot be {self.alpha_bound}"
+            )
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,21 @@ class TestVolumeBoundVerb:
         assert neighbor["translation_sum_bound"] == "99"
         assert neighbor["genus_threshold"] == "50"
 
+    def test_negative_alpha_bound_exits_two(self, corpus_paths):
+        star = next(p for p in corpus_paths if p.name == "star-3.json")
+        code, out, err = invoke(["volume-bound", str(star), "--alpha-bound", "-7"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "GmanvolError",
+            "file": str(star),
+            "message": "alpha_bound bounds an absolute value, so it cannot be -7",
+        }
+
+    def test_zero_alpha_bound_accepted(self, edge_1110):
+        code, out, _ = invoke(["volume-bound", str(edge_1110), "--alpha-bound", "0"])
+        assert code == 0
+        assert json.loads(out)["side_conditions"][0]["translation_sum_bound"] == "0"
+
     def test_pmj_required_exits_two(self, tmp_path):
         doc = {
             "pieces": [

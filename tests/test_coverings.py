@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -37,13 +38,25 @@ from gmanvol import (
 )
 from gmanvol.coverings import (
     PRIME_TEST_BOUND,
+    CoveringCertificate,
+    PieceCoverRecord,
     covered_graph_from_document,
     covered_graph_to_document,
     is_prime,
     next_prime_above,
 )
 from gmanvol.serialize import canonical_json_bytes
-from builders import random_cycle_graph, two_piece_graph
+from builders import random_cycle_graph, random_valid_graph, two_piece_graph
+from test_graph import (
+    BAD_INTEGERS,
+    SubInt,
+    decode_outcome,
+    document_corruptions,
+    ref_expect_int,
+    ref_expect_list,
+    ref_graph_from_document,
+    ref_short_repr,
+)
 
 M1110 = GluingMatrix.of(1, 1, 1, 0)
 
@@ -478,3 +491,205 @@ class TestCoveredGraphDocument:
         del cover_doc["certificate"]["per_piece"]["A"]["genus_up"]
         with pytest.raises(ParseError, match="genus_up"):
             covered_graph_from_document(cover_doc)
+
+    def test_separable_must_be_a_bool(self, cover_doc):
+        cover_doc["certificate"]["separable"] = "no"
+        with pytest.raises(ParseError) as excinfo:
+            covered_graph_from_document(cover_doc)
+        assert str(excinfo.value) == "\"separable\" must be a boolean, got 'no'"
+
+    def test_separable_case_must_be_a_string(self, cover_doc):
+        cover_doc["certificate"]["separable_case"] = [1, 2]
+        with pytest.raises(ParseError) as excinfo:
+            covered_graph_from_document(cover_doc)
+        assert str(excinfo.value) == '"separable_case" must be a string, got [1, 2]'
+
+    def test_unknown_root_key(self, cover_doc):
+        cover_doc["note"] = "x"
+        with pytest.raises(ParseError) as excinfo:
+            covered_graph_from_document(cover_doc)
+        assert str(excinfo.value) == "unexpected keys in covered graph document: ['note']"
+
+    def test_unknown_certificate_key(self, cover_doc):
+        cover_doc["certificate"]["note"] = "x"
+        with pytest.raises(ParseError) as excinfo:
+            covered_graph_from_document(cover_doc)
+        assert str(excinfo.value) == "unexpected keys in covering certificate: ['note']"
+
+    def test_unknown_record_key(self, cover_doc):
+        cover_doc["certificate"]["per_piece"]["A"]["note" * 30] = "x"
+        with pytest.raises(ParseError) as excinfo:
+            covered_graph_from_document(cover_doc)
+        message = str(excinfo.value)
+        assert message.startswith("unexpected keys in covering record: ['notenote")
+        assert message.endswith("...") and len(message) < 130
+
+    def test_new_checks_come_after_the_old_ones(self, cover_doc):
+        # An input that the earlier checks reject keeps its message.
+        cover_doc["note"] = "x"
+        cover_doc["certificate"]["separable"] = "no"
+        cover_doc["certificate"]["per_piece"]["A"]["note"] = "x"
+        cover_doc["torus_map"][0] = "3"
+        with pytest.raises(ParseError, match="torus_map entry"):
+            covered_graph_from_document(cover_doc)
+
+
+# The record and covered-graph decoders before the one-pass rewrite, copied
+# verbatim (names prefixed with ref_), as references for the rewrite.
+
+
+def ref_covered_graph_from_document(doc: dict) -> CoveredGraph:
+    """Rebuild a CoveredGraph from its document, for certificate re-checking.
+
+    Every integer field of the certificate, of its records and of the torus
+    map must be a JSON integer (not a bool, float or string); anything else
+    raises ParseError.
+    """
+    if not isinstance(doc, dict) or "certificate" not in doc or "torus_map" not in doc:
+        raise ParseError('covered graph document needs "certificate" and "torus_map"')
+    manifold = ref_graph_from_document(
+        {"pieces": doc.get("pieces"), "edges": doc.get("edges")}
+    )
+    raw = doc["certificate"]
+    if not isinstance(raw, dict) or not isinstance(raw.get("per_piece"), dict):
+        raise ParseError('covering certificate needs a "per_piece" object')
+    try:
+        per_piece = {
+            piece_id: ref_record_from_document(record)
+            for piece_id, record in raw["per_piece"].items()
+        }
+        certificate = CoveringCertificate(
+            total_degree=ref_expect_int(raw["total_degree"], "total_degree"),
+            characteristic_level=ref_expect_int(
+                raw["characteristic_level"], "characteristic_level"
+            ),
+            per_piece=per_piece,
+            separable=raw["separable"],
+            separable_case=raw["separable_case"],
+        )
+    except KeyError as exc:
+        raise ParseError(f"malformed covering certificate: missing {exc}") from exc
+    torus_map = tuple(
+        ref_expect_int(entry, "torus_map entry")
+        for entry in ref_expect_list(doc["torus_map"], "torus_map")
+    )
+    return CoveredGraph(manifold=manifold, certificate=certificate, torus_map=torus_map)
+
+
+def ref_record_from_document(record) -> PieceCoverRecord:
+    if not isinstance(record, dict) or not isinstance(record.get("over"), str):
+        raise ParseError(f"malformed covering record: {ref_short_repr(record)}")
+    return PieceCoverRecord(
+        over=record["over"],
+        vertical_degree=ref_expect_int(record["vertical_degree"], "vertical_degree"),
+        horizontal_degree=ref_expect_int(
+            record["horizontal_degree"], "horizontal_degree"
+        ),
+        genus_up=ref_expect_int(record["genus_up"], "genus_up"),
+        boundary_up=ref_expect_int(record["boundary_up"], "boundary_up"),
+    )
+
+
+RECORD_INTEGERS = ("vertical_degree", "horizontal_degree", "genus_up", "boundary_up")
+
+
+def record_corruptions(doc, rng):
+    """Copies of a covered-graph document with one record field made wrong."""
+    records = doc["certificate"]["per_piece"]
+    piece_id = rng.choice(sorted(records))
+    edits = []
+    for bad in BAD_INTEGERS + (SubInt(3),):
+        for field in RECORD_INTEGERS:
+            edits.append(lambda r, f=field, v=bad: r.__setitem__(f, v))
+        edits.append(lambda r, v=bad: r.__setitem__("over", v))
+    for field in RECORD_INTEGERS + ("over",):
+        edits.append(lambda r, f=field: r.pop(f))
+    for edit in edits:
+        bad = copy.deepcopy(doc)
+        edit(bad["certificate"]["per_piece"][piece_id])
+        yield bad
+    for not_a_record in ([], "A", None, {"over": 1}):
+        bad = copy.deepcopy(doc)
+        bad["certificate"]["per_piece"][piece_id] = not_a_record
+        yield bad
+    for not_a_list in ({}, "0", None):
+        bad = copy.deepcopy(doc)
+        bad["certificate"]["per_piece"] = not_a_list
+        yield bad
+
+
+class TestOnePassCoveredDecoder:
+    """covered_graph_from_document against the copies above."""
+
+    def documents(self, seed, count=12):
+        rng = random.Random(seed)
+        for i in range(count):
+            gm = random_valid_graph(rng, style=("generic", "pmj", "mixed")[i % 3])
+            q = rng.choice((2, 3, 5))
+            cov = genus_raising_cover(gm, rng.choice(gm.pieces).id, q)
+            doc = covered_graph_to_document(cov)
+            yield rng, cov, doc
+            shuffled = copy.deepcopy(doc)
+            rng.shuffle(shuffled["pieces"])
+            rng.shuffle(shuffled["edges"])
+            items = list(shuffled["certificate"]["per_piece"].items())
+            rng.shuffle(items)
+            shuffled["certificate"]["per_piece"] = dict(items)
+            yield rng, None, shuffled
+
+    def test_valid_documents_match_reference(self):
+        for _, cov, doc in self.documents(83):
+            got = covered_graph_from_document(doc)
+            assert got == ref_covered_graph_from_document(doc)
+            if cov is not None:
+                assert got == cov
+
+    def test_corruptions_match_reference(self):
+        outcomes = set()
+        for rng, _, doc in self.documents(89):
+            corrupted = list(record_corruptions(doc, rng))
+            corrupted += list(document_corruptions(doc, rng))
+            for bad in corrupted:
+                got = decode_outcome(covered_graph_from_document, bad)
+                expected = decode_outcome(ref_covered_graph_from_document, bad)
+                if "extra" in bad and not isinstance(expected, tuple):
+                    # The one new rejection among these corruptions.
+                    expected = ("ParseError", "unexpected keys in covered graph document: ['extra']")
+                assert got == expected, bad
+                outcomes.add(got[1].split(":")[0] if isinstance(got, tuple) else "ok")
+        assert {
+            "ok",
+            "malformed covering record",
+            "malformed covering certificate",
+            'covering certificate needs a "per_piece" object',
+            '"genus_up" must be an integer, got True',
+            '"boundary_up" must be an integer, got None',
+            "malformed gluing matrix",
+        } <= outcomes
+
+    def test_record_fields_in_check_order(self):
+        _, _, doc = next(self.documents(101))
+        record = next(iter(doc["certificate"]["per_piece"].values()))
+        for field in RECORD_INTEGERS:
+            record[field] = "x"
+        for field in RECORD_INTEGERS:
+            expected = ("ParseError", f'"{field}" must be an integer, got \'x\'')
+            assert decode_outcome(covered_graph_from_document, doc) == expected
+            assert decode_outcome(ref_covered_graph_from_document, doc) == expected
+            record[field] = 1
+        assert decode_outcome(covered_graph_from_document, doc) == decode_outcome(
+            ref_covered_graph_from_document, doc
+        )
+
+    def test_extra_record_key_is_the_one_new_rejection(self):
+        for _, _, doc in self.documents(97, count=3):
+            records = doc["certificate"]["per_piece"]
+            records[next(iter(records))]["extra"] = 1
+            assert isinstance(ref_covered_graph_from_document(doc), CoveredGraph)
+            with pytest.raises(ParseError, match="unexpected keys in covering record"):
+                covered_graph_from_document(doc)
+
+    def test_record_class_is_slotted(self):
+        record = PieceCoverRecord("A", 1, 3, 4, 3)
+        assert not hasattr(record, "__dict__")
+        assert record.degree == 3

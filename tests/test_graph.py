@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 import random
@@ -18,12 +20,15 @@ from gmanvol import (
     canonical_framing,
     euler_number,
     filled_piece_invariants,
+    graph_from_document,
+    graph_to_document,
     is_pm_j_form,
     parse_graph,
     serialize_graph,
     transport_slope,
     validate,
 )
+from gmanvol.graph import _is_connected
 from builders import random_gluing_matrix, random_valid_graph, two_piece_graph
 
 M1110 = GluingMatrix.of(1, 1, 1, 0)
@@ -443,3 +448,416 @@ class TestPmJForm:
 
     def test_mixed_signs(self):
         assert is_pm_j_form(two_piece_graph([J, MINUS_J])) is True
+
+
+# The decoder and validate before the one-pass rewrite, copied verbatim
+# (names prefixed with ref_), as references for the rewrite.
+
+
+def ref_graph_from_document(doc) -> GraphManifold:
+    """Build a GraphManifold from a parsed JSON document without validating it."""
+    if not isinstance(doc, dict):
+        raise ParseError("document root must be an object")
+    allowed = {"pieces", "edges", "certificate", "torus_map"}
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ParseError(f"unexpected keys in document: {ref_short_repr(sorted(unknown))}")
+    if "pieces" not in doc or "edges" not in doc:
+        raise ParseError('document must contain "pieces" and "edges"')
+
+    pieces = []
+    for raw in ref_expect_list(doc["pieces"], "pieces"):
+        if not isinstance(raw, dict) or set(raw) != {"id", "genus", "boundary"}:
+            raise ParseError(f"malformed piece entry: {ref_short_repr(raw)}")
+        if not isinstance(raw["id"], str):
+            raise ParseError(f"piece id must be a string: {ref_short_repr(raw['id'])}")
+        pieces.append(
+            BundlePiece(
+                id=ref_expect_encodable(raw["id"]),
+                genus=ref_expect_int(raw["genus"], "genus"),
+                boundary=ref_expect_int(raw["boundary"], "boundary"),
+            )
+        )
+
+    edges = []
+    for raw in ref_expect_list(doc["edges"], "edges"):
+        if not isinstance(raw, dict) or set(raw) != {"tail", "head", "matrix"}:
+            raise ParseError(f"malformed edge entry: {ref_short_repr(raw)}")
+        edges.append(
+            Edge(
+                tail=ref_expect_end(raw["tail"]),
+                head=ref_expect_end(raw["head"]),
+                matrix=ref_expect_matrix(raw["matrix"]),
+            )
+        )
+    return GraphManifold(tuple(pieces), tuple(edges))
+
+
+def ref_short_repr(value) -> str:
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    return text[: 80 - 3] + "..."
+
+
+def ref_expect_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f'"{name}" must be a list')
+    return value
+
+
+def ref_expect_int(value, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f'"{name}" must be an integer, got {ref_short_repr(value)}')
+    return value
+
+
+def ref_expect_end(value) -> tuple[str, int]:
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or not isinstance(value[0], str)
+    ):
+        raise ParseError(f"malformed edge endpoint: {ref_short_repr(value)}")
+    return (ref_expect_encodable(value[0]), ref_expect_int(value[1], "slot"))
+
+
+def ref_expect_encodable(piece_id: str) -> str:
+    # A lone surrogate decodes from JSON but cannot be written back as UTF-8.
+    try:
+        piece_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(
+            f"piece id {ref_short_repr(piece_id)} cannot be encoded as UTF-8"
+        ) from None
+    return piece_id
+
+
+def ref_expect_matrix(value) -> GluingMatrix:
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or any(not isinstance(row, list) or len(row) != 2 for row in value)
+    ):
+        raise ParseError(f"malformed gluing matrix: {ref_short_repr(value)}")
+    (a, b), (c, d) = value
+    return GluingMatrix.of(
+        ref_expect_int(a, "matrix entry"),
+        ref_expect_int(b, "matrix entry"),
+        ref_expect_int(c, "matrix entry"),
+        ref_expect_int(d, "matrix entry"),
+    )
+
+
+def ref_validate(gm: GraphManifold) -> list[str]:
+    """Check every structural invariant; return the violations (empty if valid)."""
+    violations: list[str] = []
+    seen_ids: set[str] = set()
+    for piece in gm.pieces:
+        if piece.id in seen_ids:
+            violations.append(f"duplicate piece id {piece.id!r}")
+        seen_ids.add(piece.id)
+        if piece.genus < 2:
+            violations.append(f"piece {piece.id!r}: genus below 2")
+        if piece.boundary < 1:
+            violations.append(f"piece {piece.id!r}: boundary count below 1")
+
+    by_id = {p.id: p for p in gm.pieces}
+    usage: dict[tuple[str, int], int] = {}
+    for index, edge in enumerate(gm.edges):
+        for side, (pid, slot) in (("tail", edge.tail), ("head", edge.head)):
+            if pid not in by_id:
+                violations.append(f"edge {index}: unknown piece id {pid!r} on {side}")
+            elif not 0 <= slot < by_id[pid].boundary:
+                violations.append(
+                    f"edge {index}: slot {slot} out of range for piece {pid!r}"
+                )
+            usage[(pid, slot)] = usage.get((pid, slot), 0) + 1
+        if edge.tail[0] == edge.head[0]:
+            violations.append(f"edge {index}: edge joins a piece to itself")
+        det = edge.matrix.det
+        if det != -1:
+            violations.append(
+                f"edge {index}: determinant of gluing matrix is {det}, not -1"
+            )
+        if edge.matrix.rows[0][1] == 0:
+            violations.append(
+                f"edge {index}: minimality violated, the fiber maps to a fiber "
+                "(upper-right entry is 0)"
+            )
+
+    for piece in gm.pieces:
+        for slot in range(piece.boundary):
+            count = usage.get((piece.id, slot), 0)
+            if count != 1:
+                violations.append(
+                    f"slot {piece.id!r}[{slot}] used by {count} edge endpoints, "
+                    "expected exactly 1"
+                )
+
+    if not gm.edges:
+        violations.append("graph has no edges")
+    elif not violations and not _is_connected(gm):
+        # Connectivity is only meaningful once the incidence data is sane.
+        violations.append("graph is not connected")
+    return violations
+
+
+class SubInt(int):
+    """An int subclass: accepted by the decoder and kept as given."""
+
+
+BAD_INTEGERS = (True, False, 1.5, 2.0, "1", None, [1])
+
+
+def decode_outcome(decode, doc):
+    """The decoded graph, or the text of the ParseError the document raises."""
+    try:
+        return decode(doc)
+    except ParseError as exc:
+        return ("ParseError", str(exc))
+
+
+def relabeled_document(doc, names):
+    """doc with piece i's id replaced by names[i], endpoints included."""
+    rename = {piece["id"]: names[i] for i, piece in enumerate(doc["pieces"])}
+    out = copy.deepcopy(doc)
+    for piece in out["pieces"]:
+        piece["id"] = rename[piece["id"]]
+    for edge in out["edges"]:
+        edge["tail"][0] = rename[edge["tail"][0]]
+        edge["head"][0] = rename[edge["head"][0]]
+    return out
+
+
+def document_corruptions(doc, rng):
+    """Copies of a graph document, each with one field made wrong."""
+    p = rng.randrange(len(doc["pieces"]))
+    e = rng.randrange(len(doc["edges"]))
+    edits = []
+    for bad in BAD_INTEGERS + (SubInt(3),):
+        for field in ("genus", "boundary"):
+            edits.append(lambda d, f=field, v=bad: d["pieces"][p].__setitem__(f, v))
+        for end in ("tail", "head"):
+            edits.append(lambda d, k=end, v=bad: d["edges"][e][k].__setitem__(1, v))
+        for row in (0, 1):
+            for col in (0, 1):
+                edits.append(
+                    lambda d, r=row, c=col, v=bad: d["edges"][e]["matrix"][r].__setitem__(c, v)
+                )
+        edits.append(lambda d, v=bad: d["pieces"][p].__setitem__("id", v))
+        edits.append(lambda d, v=bad: d["edges"][e]["tail"].__setitem__(0, v))
+    for not_list in ({}, "P0", ("P0", 0), 7):
+        edits += [
+            lambda d, v=not_list: d.__setitem__("pieces", v),
+            lambda d, v=not_list: d.__setitem__("edges", v),
+            lambda d, v=not_list: d["pieces"].__setitem__(p, v),
+            lambda d, v=not_list: d["edges"].__setitem__(e, v),
+            lambda d, v=not_list: d["edges"][e].__setitem__("tail", v),
+            lambda d, v=not_list: d["edges"][e].__setitem__("head", v),
+            lambda d, v=not_list: d["edges"][e].__setitem__("matrix", v),
+            lambda d, v=not_list: d["edges"][e]["matrix"].__setitem__(1, v),
+        ]
+    for key in ("id", "genus", "boundary"):
+        edits.append(lambda d, k=key: d["pieces"][p].pop(k))
+    for key in ("tail", "head", "matrix"):
+        edits.append(lambda d, k=key: d["edges"][e].pop(k))
+    edits += [
+        lambda d: d.pop("pieces"),
+        lambda d: d.pop("edges"),
+        lambda d: d.__setitem__("extra", 1),
+        lambda d: d.__setitem__("certificate", {}),
+        lambda d: d["pieces"][p].__setitem__("extra", 1),
+        lambda d: d["edges"][e].__setitem__("extra", 1),
+        lambda d: d["edges"][e]["tail"].append(0),
+        lambda d: d["edges"][e]["head"].pop(),
+        lambda d: d["edges"][e]["matrix"][0].append(0),
+        lambda d: d["edges"][e]["matrix"][1].append(0),
+        lambda d: d["edges"][e]["matrix"].append([0, 1]),
+        lambda d: d["pieces"][p].__setitem__("id", "P\ud800"),
+        lambda d: d["pieces"][p].__setitem__("id", "café 中"),
+        lambda d: d["edges"][e]["tail"].__setitem__(0, "\udfff"),
+        lambda d: d["edges"][e]["head"].__setitem__(0, "é"),
+    ]
+    for edit in edits:
+        bad = copy.deepcopy(doc)
+        edit(bad)
+        yield bad
+
+
+def broken_graph(gm, rng):
+    """gm with one structural fault that validate must report."""
+    pieces, edges = list(gm.pieces), list(gm.edges)
+    i = rng.randrange(len(edges))
+    edge = edges[i]
+    victim = rng.randrange(len(pieces))
+    piece = pieces[victim]
+    kind = rng.choice(
+        ("drop-edge", "det", "fiber", "genus", "boundary", "unknown", "range", "move", "lonely")
+    )
+    if kind == "drop-edge":
+        del edges[i]
+    elif kind == "det":
+        edges[i] = Edge(edge.tail, edge.head, GluingMatrix.of(1, 1, 0, 1))
+    elif kind == "fiber":
+        edges[i] = Edge(edge.tail, edge.head, GluingMatrix.of(1, 0, 0, -1))
+    elif kind == "genus":
+        pieces[victim] = BundlePiece(piece.id, rng.choice((-1, 0, 1)), piece.boundary)
+    elif kind == "boundary":
+        pieces[victim] = BundlePiece(piece.id, piece.genus, rng.choice((-1, 0)))
+    elif kind == "unknown":
+        edges[i] = Edge(("Z", 0), edge.head, edge.matrix)
+    elif kind == "range":
+        edges[i] = Edge(edge.tail, (edge.head[0], rng.choice((-1, 99))), edge.matrix)
+    elif kind == "move":
+        # Onto another slot of the same piece: one slot doubly used, one free.
+        other = rng.choice([e.tail for e in edges if e.tail != edge.tail] or [edge.head])
+        edges[i] = Edge(other, edge.head, edge.matrix)
+    else:
+        # A piece with a slot nobody uses, or a second component.
+        pieces.append(BundlePiece("Q", 2, 1))
+        if rng.random() < 0.5:
+            pieces.append(BundlePiece("R", 2, 1))
+            edges.append(Edge(("Q", 0), ("R", 0), J))
+    return GraphManifold(tuple(pieces), tuple(edges))
+
+
+class TestOnePassDecoder:
+    """graph_from_document and validate against the copies above."""
+
+    def documents(self, seed, count=30):
+        rng = random.Random(seed)
+        for i in range(count):
+            doc = graph_to_document(
+                random_valid_graph(rng, style=("generic", "pmj", "mixed")[i % 3])
+            )
+            yield rng, doc
+            shuffled = copy.deepcopy(doc)
+            rng.shuffle(shuffled["pieces"])
+            rng.shuffle(shuffled["edges"])
+            yield rng, shuffled
+            names = [f"Pé{k}" if k % 2 else f"中{k}" for k in range(len(doc["pieces"]))]
+            yield rng, relabeled_document(shuffled, names)
+
+    def test_valid_documents_match_reference(self):
+        for _, doc in self.documents(71):
+            got = graph_from_document(doc)
+            assert got == ref_graph_from_document(doc)
+            assert validate(got) == ref_validate(got) == []
+
+    def test_corruptions_match_reference(self):
+        outcomes = set()
+        for rng, doc in self.documents(73, count=20):
+            for bad in document_corruptions(doc, rng):
+                got = decode_outcome(graph_from_document, bad)
+                assert got == decode_outcome(ref_graph_from_document, bad), bad
+                outcomes.add(got[1].split(":")[0] if isinstance(got, tuple) else "ok")
+        # Every kind of rejection, and acceptance, occurs.
+        assert {
+            "ok",
+            "malformed piece entry",
+            "malformed edge entry",
+            "malformed edge endpoint",
+            "malformed gluing matrix",
+            "piece id must be a string",
+            '"pieces" must be a list',
+            '"edges" must be a list',
+            '"genus" must be an integer, got True',
+            '"slot" must be an integer, got None',
+            '"matrix entry" must be an integer, got 1.5',
+            "unexpected keys in document",
+            'document must contain "pieces" and "edges"',
+        } <= outcomes
+        assert any("cannot be encoded as UTF-8" in outcome for outcome in outcomes)
+
+    def test_int_subclass_kept_as_given(self):
+        doc = graph_to_document(two_piece_graph([M1110]))
+        doc["pieces"][0]["genus"] = SubInt(2)
+        doc["edges"][0]["head"][1] = SubInt(0)
+        doc["edges"][0]["matrix"][1][0] = SubInt(1)
+        gm = graph_from_document(doc)
+        assert type(gm.pieces[0].genus) is SubInt
+        assert type(gm.edges[0].head[1]) is SubInt
+        assert type(gm.edges[0].matrix.rows[1][0]) is SubInt
+        assert gm == ref_graph_from_document(doc)
+
+    def test_first_error_in_check_order(self):
+        # Pieces before edges; in a piece id, genus, boundary; in an edge the
+        # entry keys, tail, head, matrix shape, then entries a, b, c, d.
+        doc = graph_to_document(two_piece_graph([M1110]))
+        piece, edge = doc["pieces"][1], doc["edges"][0]
+        piece["id"], piece["genus"], piece["boundary"] = "B\ud800", "g", "b"
+        edge["extra"] = 1
+        edge["tail"][1] = "t"
+        edge["head"][1] = "h"
+        edge["matrix"] = [["a", "b"], ["c", "d", "e"]]
+        expected = [
+            "piece id 'B\\ud800' cannot be encoded as UTF-8",
+            '"genus" must be an integer, got \'g\'',
+            '"boundary" must be an integer, got \'b\'',
+            "malformed edge entry: {'tail': ['A', 't'], 'head': ['B', 'h'], "
+            "'matrix': [['a', 'b'], ['c', 'd', 'e...",
+            '"slot" must be an integer, got \'t\'',
+            '"slot" must be an integer, got \'h\'',
+            "malformed gluing matrix: [['a', 'b'], ['c', 'd', 'e']]",
+            '"matrix entry" must be an integer, got \'a\'',
+            '"matrix entry" must be an integer, got \'b\'',
+            '"matrix entry" must be an integer, got \'c\'',
+            '"matrix entry" must be an integer, got \'d\'',
+        ]
+        fixes = [
+            lambda: piece.__setitem__("id", "B"),
+            lambda: piece.__setitem__("genus", 2),
+            lambda: piece.__setitem__("boundary", 1),
+            lambda: edge.pop("extra"),
+            lambda: edge["tail"].__setitem__(1, 0),
+            lambda: edge["head"].__setitem__(1, 0),
+            lambda: edge["matrix"][1].pop(),
+            lambda: edge["matrix"][0].__setitem__(0, 1),
+            lambda: edge["matrix"][0].__setitem__(1, 1),
+            lambda: edge["matrix"][1].__setitem__(0, 1),
+            lambda: edge["matrix"][1].__setitem__(1, 0),
+        ]
+        assert len(expected) == len(fixes)
+        for message, fix in zip(expected, fixes):
+            with pytest.raises(ParseError) as excinfo:
+                graph_from_document(doc)
+            assert str(excinfo.value) == message
+            fix()
+        assert graph_from_document(doc) == two_piece_graph([M1110])
+
+    def test_equal_matrices_are_shared(self):
+        gm = graph_from_document(graph_to_document(two_piece_graph([J, M1110, J])))
+        first, second = (e.matrix for e in gm.edges if e.matrix == J)
+        assert first is second
+
+    def test_value_classes_are_slotted(self):
+        for value in (Slope(1, 0), J, BundlePiece("A", 2, 1), Edge(("A", 0), ("B", 0), J)):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, dataclasses.fields(value)[0].name, None)
+
+    def test_validate_matches_reference_on_corrupted_graphs(self):
+        rng = random.Random(79)
+        for i in range(150):
+            gm = random_valid_graph(rng, style=("generic", "pmj", "mixed")[i % 3])
+            bad = _corrupted(gm, rng) if i % 2 else broken_graph(gm, rng)
+            got = validate(bad)
+            assert got == ref_validate(bad)
+            assert got
+
+    def test_validate_matches_reference_on_edge_cases(self):
+        swap = two_piece_graph([J, J])
+        cases = [
+            GraphManifold((), ()),
+            GraphManifold((BundlePiece("A", 2, 0),), ()),
+            # A doubly used slot and a free one, and nothing else wrong.
+            GraphManifold(swap.pieces, (swap.edges[0], Edge(("A", 0), ("B", 1), J))),
+            # A duplicated id whose last piece has the larger slot range.
+            GraphManifold(
+                swap.pieces + (BundlePiece("A", 2, 3),),
+                swap.edges + (Edge(("A", 2), ("B", 1), J),),
+            ),
+        ]
+        for gm in cases:
+            assert validate(gm) == ref_validate(gm)

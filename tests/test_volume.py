@@ -25,6 +25,7 @@ from gmanvol import (
     cs_of_filled_piece,
     ehn_horizontal_foliation,
     EhnFails,
+    GmanvolError,
     euler_number,
     filled_piece_invariants,
     gv_of_certified_connection,
@@ -280,6 +281,24 @@ class TestDriver:
         assert doc["bound_pi2"] == "8"
         assert doc["chosen"] == {"pieces": ["A", "B"], "r": 1}
         assert doc["filling_slopes"] == {"A:0": [1, -1], "B:0": [1, -1]}
+
+
+class TestVolumeConfig:
+    def test_negative_alpha_bound_rejected(self):
+        for bound in (-1, -7, -(10**30)):
+            with pytest.raises(GmanvolError, match=f"cannot be {bound}$"):
+                VolumeConfig(alpha_bound=bound)
+
+    def test_non_negative_alpha_bound_accepted(self):
+        for bound in (0, 1, 10**30):
+            assert VolumeConfig(alpha_bound=bound).alpha_bound == bound
+        assert VolumeConfig().alpha_bound == 10**6
+
+    def test_certificate_with_zero_bound(self):
+        cert = volume_lower_bound(two_piece_graph([M1110]), VolumeConfig(alpha_bound=0))
+        neighbor = cert.to_document()["side_conditions"][0]
+        assert neighbor["translation_sum_bound"] == "0"
+        assert neighbor["genus_threshold"] == "1/2"
 
 
 class TestOnePass:
