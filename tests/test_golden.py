@@ -214,6 +214,22 @@ def build_argvs(inputs: dict[str, bytes]) -> list[list[str]]:
             ["validate", "inputs/no-such-file.json"],
         ]
     )
+    # Both cover modes at more primes on the corpus: genus-raising around
+    # the smallest id, characteristic at a prime above every boundary count.
+    for name, data in inputs.items():
+        if name.startswith("corpus-"):
+            path = f"inputs/{name}.json"
+            center = min(p["id"] for p in json.loads(data)["pieces"])
+            for q in ("2", "5", "7"):
+                argvs.append(
+                    ["cover", path, "--mode", "genus-raising", "--center", center,
+                     "--prime", q]
+                )
+            argvs.append(["cover", path, "--mode", "characteristic", "--prime", "101"])
+    argvs.append(
+        ["cover", "inputs/corpus-star-3.json", "--mode", "genus-raising",
+         "--center", "B", "--prime", "10000019"]
+    )
     return argvs
 
 
