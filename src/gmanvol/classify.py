@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .graph import GraphManifold, validate
+from .graph import GraphManifold, _require_valid
 from .seifert import GeometryType, SeifertInvariants, geometry_type
 
 KIND_SEIFERT = "seifert"
@@ -102,9 +101,7 @@ def mapping_degree_finiteness(desc: PrimeManifoldDescription) -> FinitenessVerdi
     if desc.kind == KIND_SEIFERT:
         return geometry_finiteness(geometry_type(desc.seifert))
     if desc.kind == KIND_GRAPH:
-        violations = validate(desc.graph)
-        if violations:
-            raise ValidationError(violations)
+        _require_valid(desc.graph)
         # A valid decorated graph has genus >= 2 pieces and at least one
         # gluing torus, so it is never covered by a torus bundle or by a
         # Seifert manifold and carries virtually positive Seifert volume.

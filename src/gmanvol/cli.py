@@ -26,8 +26,8 @@ from . import classify as classify_mod
 from .coverings import characteristic_cover, covered_graph_to_document, genus_raising_cover
 from .errors import GmanvolError, ParseError, ValidationError
 from .graph import (
-    GraphManifold,
     _expect_int,
+    _require_valid,
     _short_repr,
     canonical_framing,
     filled_piece_invariants,
@@ -98,14 +98,6 @@ def _load_document(path: Path):
         raise ParseError(f"{path} is nested too deeply: {exc}") from exc
 
 
-def _load_valid_graph(path: Path) -> GraphManifold:
-    gm = graph_from_document(_load_document(path))
-    violations = validate(gm)
-    if violations:
-        raise ValidationError(violations)
-    return gm
-
-
 def _run_validate(path: Path, args) -> tuple[dict | list, int]:
     gm = graph_from_document(_load_document(path))
     report = validate(gm)
@@ -113,7 +105,7 @@ def _run_validate(path: Path, args) -> tuple[dict | list, int]:
 
 
 def _run_invariants(path: Path, args) -> tuple[dict, int]:
-    gm = _load_valid_graph(path)
+    gm = _require_valid(graph_from_document(_load_document(path)))
     pieces = {}
     absolute = Fraction(0)
     for piece in gm.pieces:
@@ -138,7 +130,7 @@ def _run_invariants(path: Path, args) -> tuple[dict, int]:
 
 
 def _run_cover(path: Path, args) -> tuple[dict, int]:
-    gm = _load_valid_graph(path)
+    gm = _require_valid(graph_from_document(_load_document(path)))
     if args.mode == "characteristic":
         cov = characteristic_cover(gm, args.prime)
     else:

@@ -2,36 +2,38 @@
 
 Covers are represented purely combinatorially: a covered graph manifold, a
 certificate recording degrees and surface data for every covered piece, and
-a map sending each covering edge to the edge it lies over.  Two explicit
-constructions are provided.
+a map sending each covering edge to the edge it lies over.
+
+Every cover of degree q (q prime) is built from one plan: a set of pieces
+to unwrap and a characteristic level m, q or 1.  An unwrapped piece keeps
+its id and covers its base surface with degree q and its fiber with degree
+m; every other piece is replicated as copies X~0 .. X~(q-1), needing m = 1.
+Each gluing torus has L = q // m lifts, each with the downstairs matrix.
+Lift k of downstairs slot i sits at slot i*L + k of an unwrapped piece and
+at slot i of copy k of a replicated one.  verify_covering_certificate
+re-checks this layout: a cover end at slot s of a piece whose boundary
+count is L times its base's must lie over base slot s // L.
 
 characteristic_cover(gm, q)
-    A connected cover of degree q^2, for a prime q exceeding every boundary
-    count.  Every piece is unwrapped q times in the fiber direction and q
-    times over its base surface, every piece preimage and torus preimage is
-    connected, the graph shape is unchanged, and every gluing matrix is
-    preserved.  Over each gluing torus the cover restricts to the subgroup
-    of index q x q, so the cover is q-characteristic; it is separable
-    because each piece cover comes from a product epimorphism onto
-    Z/q x Z/q (base factor times fiber factor).  The construction needs at
-    least two boundary tori on every piece: with a single boundary circle,
-    the boundary word is a product of commutators and dies in any abelian
-    quotient of the base group, so no epimorphism gives the boundary circle
-    full order q.  Such inputs are rejected with a hint to raise the
-    boundary count first via genus_raising_cover.
+    Every piece unwrapped at level q: a connected cover of degree q^2, for
+    a prime q exceeding every boundary count.  Every piece preimage and
+    torus preimage is connected (L = 1), the graph shape is unchanged, and
+    the cover restricts over each torus to the subgroup of index q x q, so
+    it is q-characteristic; it is separable because each piece cover comes
+    from a product epimorphism onto Z/q x Z/q (base factor times fiber
+    factor).  Every piece needs two boundary tori: with a single boundary
+    circle, the boundary word is a product of commutators and dies in any
+    abelian quotient of the base group, so no epimorphism gives the
+    boundary circle full order q.  Such inputs are rejected with a hint to
+    raise the boundary count first via genus_raising_cover.
 
 genus_raising_cover(gm, center, q)
-    A connected cover of degree q, trivial over a chosen center piece and
-    over every gluing torus.  Pieces adjacent to the center are unwrapped q
-    times over their base surface only (fiber untouched), which raises
-    their genus; the center and every non-adjacent piece are replicated q
-    times, with copies labeled by Z/q.  Each torus preimage with label k
-    attaches to copy k of a replicated piece and to the k-th boundary lift
-    of a connectedly covered piece; this deterministic matching always
-    yields a connected cover.  The cover is 1-characteristic and separable
-    (each piece cover has fiber degree one).  Its size is predicted before
-    it is built, and a cover with more than MAX_COVER_SIZE pieces or gluing
-    tori is refused.
+    The pieces adjacent to the center unwrapped at level 1: a connected
+    cover of degree q, trivial over the center and over every gluing torus
+    (L = q), which raises the genus of the unwrapped pieces.  The cover is
+    1-characteristic and separable (each piece cover has fiber degree one).
+    Its size is predicted before it is built, and a cover with more than
+    MAX_COVER_SIZE pieces or gluing tori is refused.
 
 The genus of a covered base surface follows the Riemann-Hurwitz count for
 unbranched covers of surfaces with boundary, exposed separately as
@@ -214,33 +216,7 @@ def characteristic_cover(gm: GraphManifold, q: int) -> CoveredGraph:
             f"pieces {small} have a single boundary torus; apply a "
             "genus-raising cover first to multiply boundary tori"
         )
-
-    pieces = []
-    records = {}
-    for piece in gm.pieces:
-        genus_up, boundary_up = riemann_hurwitz_genus(piece.genus, piece.boundary, q, "q")
-        pieces.append(BundlePiece(piece.id, genus_up, boundary_up))
-        records[piece.id] = PieceCoverRecord(
-            over=piece.id,
-            vertical_degree=q,
-            horizontal_degree=q,
-            genus_up=genus_up,
-            boundary_up=boundary_up,
-        )
-
-    certificate = CoveringCertificate(
-        total_degree=q * q,
-        characteristic_level=q,
-        per_piece=records,
-        separable=True,
-        separable_case="product-epimorphism",
-    )
-    manifold = GraphManifold(tuple(pieces), gm.edges)
-    return CoveredGraph(
-        manifold=manifold,
-        certificate=certificate,
-        torus_map=tuple(range(len(gm.edges))),
-    )
+    return _build_cover(gm, q, {p.id for p in gm.pieces}, q, "product-epimorphism")
 
 
 def genus_raising_cover(gm: GraphManifold, center: str, q: int) -> CoveredGraph:
@@ -251,83 +227,79 @@ def genus_raising_cover(gm: GraphManifold, center: str, q: int) -> CoveredGraph:
         gm.piece(center)
     except KeyError:
         raise GmanvolError(f"unknown center piece {center!r}") from None
-    adjacent = set(gm.adjacent_pieces(center))
-    replicated = {p.id for p in gm.pieces if p.id not in adjacent}
-    piece_count = len(adjacent) + q * len(replicated)
-    torus_count = q * len(gm.edges)
-    if max(piece_count, torus_count) > MAX_COVER_SIZE:
-        raise CoverTooLarge(
-            f"a genus-raising cover of degree {q} would have {piece_count} pieces "
-            f"and {torus_count} gluing tori; the limit is {MAX_COVER_SIZE} of each"
-        )
+    return _build_cover(gm, q, set(gm.adjacent_pieces(center)), 1, "fiber-degree-one")
 
-    def copy_id(piece_id: str, label: int) -> str:
-        return f"{piece_id}~{label}"
+
+def _build_cover(
+    gm: GraphManifold, q: int, unwrapped: set[str], level: int, separable_case: str
+) -> CoveredGraph:
+    """The cover that unwraps the pieces in unwrapped at level, by the module's plan.
+
+    With L = 1 lift per torus the base edges are the cover edges, so the
+    size check and the connectivity search are left out.
+    """
+    lifts = q // level
+    order = "q" if level == q else "1"
+    replicated = {p.id for p in gm.pieces if p.id not in unwrapped}
+    if lifts > 1:
+        piece_count = len(unwrapped) + q * len(replicated)
+        torus_count = lifts * len(gm.edges)
+        if max(piece_count, torus_count) > MAX_COVER_SIZE:
+            raise CoverTooLarge(
+                f"a genus-raising cover of degree {q} would have {piece_count} pieces "
+                f"and {torus_count} gluing tori; the limit is {MAX_COVER_SIZE} of each"
+            )
 
     pieces = []
     records = {}
     for piece in gm.pieces:
-        if piece.id in adjacent:
-            genus_up, boundary_up = riemann_hurwitz_genus(
-                piece.genus, piece.boundary, q, "1"
-            )
-            pieces.append(BundlePiece(piece.id, genus_up, boundary_up))
-            records[piece.id] = PieceCoverRecord(
-                over=piece.id,
-                vertical_degree=1,
-                horizontal_degree=q,
-                genus_up=genus_up,
-                boundary_up=boundary_up,
-            )
+        if piece.id in replicated:
+            record = PieceCoverRecord(piece.id, 1, 1, piece.genus, piece.boundary)
+            ids = [f"{piece.id}~{k}" for k in range(q)]
         else:
-            for label in range(q):
-                new_id = copy_id(piece.id, label)
-                pieces.append(BundlePiece(new_id, piece.genus, piece.boundary))
-                records[new_id] = PieceCoverRecord(
-                    over=piece.id,
-                    vertical_degree=1,
-                    horizontal_degree=1,
-                    genus_up=piece.genus,
-                    boundary_up=piece.boundary,
-                )
+            genus_up, boundary_up = riemann_hurwitz_genus(
+                piece.genus, piece.boundary, q, order
+            )
+            record = PieceCoverRecord(piece.id, level, q, genus_up, boundary_up)
+            ids = [piece.id]
+        for piece_id in ids:
+            pieces.append(BundlePiece(piece_id, record.genus_up, record.boundary_up))
+            records[piece_id] = record
+    certificate = CoveringCertificate(
+        total_degree=q * level,
+        characteristic_level=level,
+        per_piece=records,
+        separable=True,
+        separable_case=separable_case,
+    )
+    if lifts == 1:
+        return CoveredGraph(
+            manifold=GraphManifold(tuple(pieces), gm.edges),
+            certificate=certificate,
+            torus_map=tuple(range(len(gm.edges))),
+        )
     if len(records) != len(pieces) or len({p.id for p in pieces}) != len(pieces):
         raise GmanvolError("piece id collision while labeling covering copies")
 
-    def lift_end(end: tuple[str, int], label: int) -> tuple[str, int]:
+    def lift_end(end: tuple[str, int], k: int) -> tuple[str, int]:
         piece_id, slot = end
         if piece_id in replicated:
-            return (copy_id(piece_id, label), slot)
-        # Boundary lifts of a connectedly covered piece: lift k of downstairs
-        # slot i sits at slot i*q + k.
-        return (piece_id, slot * q + label)
+            return (f"{piece_id}~{k}", slot)
+        return (piece_id, slot * lifts + k)
 
-    lifted: list[tuple[Edge, int]] = []
-    for base_index, edge in enumerate(gm.edges):
-        for label in range(q):
-            lifted.append(
-                (
-                    Edge(
-                        tail=lift_end(edge.tail, label),
-                        head=lift_end(edge.head, label),
-                        matrix=edge.matrix,
-                    ),
-                    base_index,
-                )
-            )
-    lifted.sort(key=lambda pair: _edge_sort_key(pair[0]))
-
+    lifted = sorted(
+        (
+            (Edge(lift_end(edge.tail, k), lift_end(edge.head, k), edge.matrix), base_index)
+            for base_index, edge in enumerate(gm.edges)
+            for k in range(lifts)
+        ),
+        key=lambda pair: _edge_sort_key(pair[0]),
+    )
     manifold = GraphManifold(tuple(pieces), tuple(edge for edge, _ in lifted))
     if not _is_connected(manifold):
         raise DisconnectedCover(
             "genus-raising cover came out disconnected; this is a bug"
         )
-    certificate = CoveringCertificate(
-        total_degree=q,
-        characteristic_level=1,
-        per_piece=records,
-        separable=True,
-        separable_case="fiber-degree-one",
-    )
     return CoveredGraph(
         manifold=manifold,
         certificate=certificate,
@@ -358,6 +330,7 @@ def verify_covering_certificate(cov: CoveredGraph, base: GraphManifold) -> list[
         if piece_id not in cert.per_piece:
             report.append(f"piece {piece_id!r} has no covering record")
     degree_over: dict[str, int] = {pid: 0 for pid in base_by_id}
+    lifts: dict[str, int] = {}
     for piece_id in sorted(cert.per_piece):
         record = cert.per_piece[piece_id]
         if piece_id not in up_by_id:
@@ -380,6 +353,13 @@ def verify_covering_certificate(cov: CoveredGraph, base: GraphManifold) -> list[
             report.append(f"chi multiplicativity fails for piece {piece_id!r}")
         if record.vertical_degree < 1 or record.horizontal_degree < 1:
             report.append(f"non-positive covering degrees for piece {piece_id!r}")
+        if down.boundary < 1 or record.boundary_up < 1 or record.boundary_up % down.boundary:
+            report.append(
+                f"piece {piece_id!r} has {record.boundary_up} boundary tori, not a "
+                f"positive multiple of the {down.boundary} of {record.over!r}"
+            )
+        else:
+            lifts[piece_id] = record.boundary_up // down.boundary
         degree_over[record.over] += record.degree
     for pid in sorted(degree_over):
         if degree_over[pid] != cert.total_degree:
@@ -411,6 +391,11 @@ def verify_covering_certificate(cov: CoveredGraph, base: GraphManifold) -> list[
             if record is not None and record.over != base_end[0]:
                 report.append(
                     f"torus map endpoint mismatch on edge {index} ({side} side)"
+                )
+            elif end[0] in lifts and end[1] // lifts[end[0]] != base_end[1]:
+                report.append(
+                    f"slot lift mismatch on edge {index} ({side} side): cover slot "
+                    f"{end[1]} does not lie over base slot {base_end[1]}"
                 )
     level_sq = cert.characteristic_level**2
     for base_index in sorted(preimages):

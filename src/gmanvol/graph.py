@@ -292,6 +292,14 @@ def validate(gm: GraphManifold) -> list[str]:
     return violations
 
 
+def _require_valid(gm: GraphManifold) -> GraphManifold:
+    """gm itself when it is valid; otherwise raise ValidationError."""
+    violations = validate(gm)
+    if violations:
+        raise ValidationError(violations)
+    return gm
+
+
 def _is_connected(gm: GraphManifold) -> bool:
     """Whether a search from the first piece reaches every piece.
 
@@ -387,11 +395,7 @@ def parse_graph(data: bytes | str) -> GraphManifold:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"document is not valid JSON: {exc}") from exc
-    gm = graph_from_document(doc)
-    violations = validate(gm)
-    if violations:
-        raise ValidationError(violations)
-    return gm
+    return _require_valid(graph_from_document(doc))
 
 
 def graph_to_document(gm: GraphManifold) -> dict:

@@ -57,16 +57,15 @@ from .errors import (
     NotAdjacent,
     NotPMJ,
     PMJFormRequired,
-    ValidationError,
     WrongCase,
 )
 from .graph import (
     GraphManifold,
     Slope,
+    _require_valid,
     canonical_framing,
     filled_piece_invariants,
     is_pm_j_form,
-    validate,
 )
 from .seifert import SeifertInvariants, ehn_horizontal_foliation, euler_number
 from .serialize import format_rational
@@ -413,9 +412,7 @@ def volume_lower_bound(
     gm: GraphManifold, config: VolumeConfig | None = None
 ) -> VolumeCertificate:
     """Emit a positive Seifert-volume lower bound for a finite cover of gm."""
-    violations = validate(gm)
-    if violations:
-        raise ValidationError(violations)
+    _require_valid(gm)
     filled_euler = _filled_euler_table(gm)
     if any(filled_euler.values()):
         return _case1_bound(gm, filled_euler, config or VolumeConfig())

@@ -11,8 +11,10 @@ from gmanvol import (
     BoundaryCountTooSmall,
     BundlePiece,
     CoveredGraph,
+    CoverTooLarge,
     DisconnectedCover,
     Edge,
+    GmanvolError,
     GluingMatrix,
     GraphManifold,
     J,
@@ -37,6 +39,7 @@ from gmanvol import (
     verify_covering_certificate,
 )
 from gmanvol.coverings import (
+    MAX_COVER_SIZE,
     PRIME_TEST_BOUND,
     CoveringCertificate,
     PieceCoverRecord,
@@ -45,6 +48,7 @@ from gmanvol.coverings import (
     is_prime,
     next_prime_above,
 )
+from gmanvol.graph import _edge_sort_key, _is_connected
 from gmanvol.serialize import canonical_json_bytes
 from builders import random_cycle_graph, random_valid_graph, two_piece_graph
 from test_graph import (
@@ -693,3 +697,285 @@ class TestOnePassCoveredDecoder:
         record = PieceCoverRecord("A", 1, 3, 4, 3)
         assert not hasattr(record, "__dict__")
         assert record.degree == 3
+
+
+# The two cover constructors as they were before both were built by one
+# private builder, kept verbatim as the reference for it.
+
+
+def ref_characteristic_cover(gm: GraphManifold, q: int) -> CoveredGraph:
+    """The q-characteristic separable cover of degree q^2 (q prime)."""
+    if not is_prime(q):
+        raise NotPrime(f"covering order {q} is not prime")
+    max_boundary = max(piece.boundary for piece in gm.pieces)
+    if q <= max_boundary:
+        raise PrimeTooSmall(
+            f"prime {q} must exceed the largest boundary count {max_boundary}"
+        )
+    small = [p.id for p in gm.pieces if p.boundary < 2]
+    if small:
+        raise BoundaryCountTooSmall(
+            f"pieces {small} have a single boundary torus; apply a "
+            "genus-raising cover first to multiply boundary tori"
+        )
+
+    pieces = []
+    records = {}
+    for piece in gm.pieces:
+        genus_up, boundary_up = riemann_hurwitz_genus(piece.genus, piece.boundary, q, "q")
+        pieces.append(BundlePiece(piece.id, genus_up, boundary_up))
+        records[piece.id] = PieceCoverRecord(
+            over=piece.id,
+            vertical_degree=q,
+            horizontal_degree=q,
+            genus_up=genus_up,
+            boundary_up=boundary_up,
+        )
+
+    certificate = CoveringCertificate(
+        total_degree=q * q,
+        characteristic_level=q,
+        per_piece=records,
+        separable=True,
+        separable_case="product-epimorphism",
+    )
+    manifold = GraphManifold(tuple(pieces), gm.edges)
+    return CoveredGraph(
+        manifold=manifold,
+        certificate=certificate,
+        torus_map=tuple(range(len(gm.edges))),
+    )
+
+
+def ref_genus_raising_cover(gm: GraphManifold, center: str, q: int) -> CoveredGraph:
+    """The degree-q cover that is trivial over the center and all tori."""
+    if not is_prime(q):
+        raise NotPrime(f"covering order {q} is not prime")
+    try:
+        gm.piece(center)
+    except KeyError:
+        raise GmanvolError(f"unknown center piece {center!r}") from None
+    adjacent = set(gm.adjacent_pieces(center))
+    replicated = {p.id for p in gm.pieces if p.id not in adjacent}
+    piece_count = len(adjacent) + q * len(replicated)
+    torus_count = q * len(gm.edges)
+    if max(piece_count, torus_count) > MAX_COVER_SIZE:
+        raise CoverTooLarge(
+            f"a genus-raising cover of degree {q} would have {piece_count} pieces "
+            f"and {torus_count} gluing tori; the limit is {MAX_COVER_SIZE} of each"
+        )
+
+    def copy_id(piece_id: str, label: int) -> str:
+        return f"{piece_id}~{label}"
+
+    pieces = []
+    records = {}
+    for piece in gm.pieces:
+        if piece.id in adjacent:
+            genus_up, boundary_up = riemann_hurwitz_genus(
+                piece.genus, piece.boundary, q, "1"
+            )
+            pieces.append(BundlePiece(piece.id, genus_up, boundary_up))
+            records[piece.id] = PieceCoverRecord(
+                over=piece.id,
+                vertical_degree=1,
+                horizontal_degree=q,
+                genus_up=genus_up,
+                boundary_up=boundary_up,
+            )
+        else:
+            for label in range(q):
+                new_id = copy_id(piece.id, label)
+                pieces.append(BundlePiece(new_id, piece.genus, piece.boundary))
+                records[new_id] = PieceCoverRecord(
+                    over=piece.id,
+                    vertical_degree=1,
+                    horizontal_degree=1,
+                    genus_up=piece.genus,
+                    boundary_up=piece.boundary,
+                )
+    if len(records) != len(pieces) or len({p.id for p in pieces}) != len(pieces):
+        raise GmanvolError("piece id collision while labeling covering copies")
+
+    def lift_end(end: tuple[str, int], label: int) -> tuple[str, int]:
+        piece_id, slot = end
+        if piece_id in replicated:
+            return (copy_id(piece_id, label), slot)
+        # Boundary lifts of a connectedly covered piece: lift k of downstairs
+        # slot i sits at slot i*q + k.
+        return (piece_id, slot * q + label)
+
+    lifted: list[tuple[Edge, int]] = []
+    for base_index, edge in enumerate(gm.edges):
+        for label in range(q):
+            lifted.append(
+                (
+                    Edge(
+                        tail=lift_end(edge.tail, label),
+                        head=lift_end(edge.head, label),
+                        matrix=edge.matrix,
+                    ),
+                    base_index,
+                )
+            )
+    lifted.sort(key=lambda pair: _edge_sort_key(pair[0]))
+
+    manifold = GraphManifold(tuple(pieces), tuple(edge for edge, _ in lifted))
+    if not _is_connected(manifold):
+        raise DisconnectedCover(
+            "genus-raising cover came out disconnected; this is a bug"
+        )
+    certificate = CoveringCertificate(
+        total_degree=q,
+        characteristic_level=1,
+        per_piece=records,
+        separable=True,
+        separable_case="fiber-degree-one",
+    )
+    return CoveredGraph(
+        manifold=manifold,
+        certificate=certificate,
+        torus_map=tuple(base_index for _, base_index in lifted),
+    )
+
+
+def cover_outcome(construct, *args):
+    """The canonical cover document bytes, or the type and text of the error."""
+    try:
+        cov = construct(*args)
+    except GmanvolError as exc:
+        return type(exc), str(exc)
+    return canonical_json_bytes(covered_graph_to_document(cov))
+
+
+def outcome_name(outcome):
+    return "ok" if isinstance(outcome, bytes) else outcome[0].__name__
+
+
+class TestOneCoverBuilder:
+    """Both constructors against the references above, byte for byte."""
+
+    PRIMES = (2, 3, 5, 7, 11)
+
+    def cases(self, gm):
+        """(new, reference, args) for both modes at every prime and center."""
+        char_prime = next_prime_above(max(p.boundary for p in gm.pieces))
+        for q in {*self.PRIMES, char_prime, 4, 10_000_019}:
+            yield characteristic_cover, ref_characteristic_cover, (gm, q)
+            for center in [p.id for p in gm.pieces] + ["nowhere"]:
+                yield genus_raising_cover, ref_genus_raising_cover, (gm, center, q)
+
+    def test_random_graphs_match_reference(self):
+        outcomes = set()
+        for style in ("generic", "pmj", "mixed"):
+            for seed in range(8):
+                gm = random_valid_graph(random.Random(seed), style=style)
+                for new, ref, args in self.cases(gm):
+                    got = cover_outcome(new, *args)
+                    assert got == cover_outcome(ref, *args), (style, seed, new, args[1:])
+                    if isinstance(got, bytes):
+                        assert verify_covering_certificate(new(*args), gm) == []
+                    outcomes.add((new.__name__, outcome_name(got)))
+        assert outcomes == {
+            ("characteristic_cover", "ok"),
+            ("characteristic_cover", "BoundaryCountTooSmall"),
+            ("characteristic_cover", "NotPrime"),
+            ("characteristic_cover", "PrimeTooSmall"),
+            ("genus_raising_cover", "ok"),
+            ("genus_raising_cover", "CoverTooLarge"),
+            ("genus_raising_cover", "GmanvolError"),
+            ("genus_raising_cover", "NotPrime"),
+        }
+
+    def test_corpus_matches_reference(self, corpus_paths):
+        for path in corpus_paths:
+            gm = parse_graph(path.read_bytes())
+            for new, ref, args in self.cases(gm):
+                assert cover_outcome(new, *args) == cover_outcome(ref, *args)
+
+    def test_id_collision_matches_reference(self):
+        gm = GraphManifold(
+            (BundlePiece("A", 2, 2), BundlePiece("A~0", 2, 2)),
+            (Edge(("A", 0), ("A~0", 0), J), Edge(("A", 1), ("A~0", 1), M1110)),
+        )
+        collision = cover_outcome(genus_raising_cover, gm, "A", 3)
+        assert collision == (
+            GmanvolError, "piece id collision while labeling covering copies"
+        )
+        assert collision == cover_outcome(ref_genus_raising_cover, gm, "A", 3)
+        for new, ref, args in self.cases(gm):
+            assert cover_outcome(new, *args) == cover_outcome(ref, *args)
+
+    def test_disconnected_cover_matches_reference(self, monkeypatch):
+        never = lambda gm: False  # noqa: E731
+        monkeypatch.setattr(gmanvol.coverings, "_is_connected", never)
+        monkeypatch.setitem(globals(), "_is_connected", never)
+        gm = two_piece_graph([J])
+        got = cover_outcome(genus_raising_cover, gm, "A", 3)
+        assert got[0] is DisconnectedCover
+        assert got == cover_outcome(ref_genus_raising_cover, gm, "A", 3)
+        # Characteristic covers keep the base edges and run no search.
+        gm = two_piece_graph([J, J])
+        assert cover_outcome(characteristic_cover, gm, 3) == cover_outcome(
+            ref_characteristic_cover, gm, 3
+        )
+
+
+def swap_tails(cov: CoveredGraph, first, second) -> CoveredGraph:
+    """cov with the tail ends first and second exchanged, torus map kept aligned."""
+    lifted = []
+    for edge, base_index in zip(cov.manifold.edges, cov.torus_map):
+        tail = {first: second, second: first}.get(edge.tail, edge.tail)
+        lifted.append((replace(edge, tail=tail), base_index))
+    lifted.sort(key=lambda pair: _edge_sort_key(pair[0]))
+    return CoveredGraph(
+        manifold=GraphManifold(cov.manifold.pieces, tuple(e for e, _ in lifted)),
+        certificate=cov.certificate,
+        torus_map=tuple(base_index for _, base_index in lifted),
+    )
+
+
+class TestSlotLifts:
+    """verify_covering_certificate checks the slot of every cover edge end."""
+
+    def test_star_tail_swap_is_rejected(self, corpus_paths):
+        path = next(p for p in corpus_paths if p.name == "star-3.json")
+        star = parse_graph(path.read_bytes())
+        cov = genus_raising_cover(star, "A", 3)
+        swapped = swap_tails(cov, ("Z", 0), ("Z", 3))
+        # Every slot is still used once, so the graph alone looks fine.
+        assert validate(swapped.manifold) == []
+        report = verify_covering_certificate(swapped, star)
+        assert sorted(report) == sorted(
+            [
+                f"slot lift mismatch on edge {index} (tail side): cover slot {slot} "
+                f"does not lie over base slot {base_slot}"
+                for index, edge in enumerate(swapped.manifold.edges)
+                for slot, base_slot in ((0, 1), (3, 0))
+                if edge.tail == ("Z", slot)
+            ]
+        )
+        assert len(report) == 2
+
+    def test_characteristic_tail_swap_is_rejected(self):
+        gm = two_piece_graph([J, J])
+        swapped = swap_tails(characteristic_cover(gm, 3), ("A", 0), ("A", 1))
+        assert validate(swapped.manifold) == []
+        report = verify_covering_certificate(swapped, gm)
+        assert len(report) == 2
+        assert all(line.startswith("slot lift mismatch") for line in report)
+
+    @pytest.mark.parametrize("boundary_up", [0, -9, 10])
+    def test_boundary_not_a_positive_multiple(self, corpus_paths, boundary_up):
+        path = next(p for p in corpus_paths if p.name == "star-3.json")
+        star = parse_graph(path.read_bytes())
+        cov = genus_raising_cover(star, "A", 3)
+        records = dict(cov.certificate.per_piece)
+        records["Z"] = replace(records["Z"], boundary_up=boundary_up)
+        tampered = replace(cov, certificate=replace(cov.certificate, per_piece=records))
+        report = verify_covering_certificate(tampered, star)
+        assert (
+            f"piece 'Z' has {boundary_up} boundary tori, not a positive multiple "
+            "of the 3 of 'Z'"
+        ) in report
+        assert not any(line.startswith("slot lift mismatch") for line in report)

@@ -343,7 +343,7 @@ class TestOnePass:
     def test_volume_bound_verb_validates_once(self, monkeypatch, tmp_path):
         graphs = list(self.certified_graphs())
         calls = self.count_calls(
-            monkeypatch, "validate", (gmanvol.graph, gmanvol.volume, gmanvol.cli)
+            monkeypatch, "validate", (gmanvol.graph, gmanvol.cli)
         )
         for index, (_, gm) in enumerate(graphs):
             path = tmp_path / f"graph-{index}.json"
