@@ -233,7 +233,7 @@ def genus_raising_cover(gm: GraphManifold, center: str, q: int) -> CoveredGraph:
 def _build_cover(
     gm: GraphManifold, q: int, unwrapped: set[str], level: int, separable_case: str
 ) -> CoveredGraph:
-    """The cover that unwraps the pieces in unwrapped at level, by the module's plan.
+    """The cover of one plan: unwrap these pieces at level, replicate the rest.
 
     With L = 1 lift per torus the base edges are the cover edges, so the
     size check and the connectivity search are left out.
