@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
-Everything that can escape the public API derives from GmanvolError, so the
-command line front end can map failures onto a small set of exit codes:
-malformed input, invalid graph data, or an input outside the reach of the
-implemented constructions.
+Every failure the command line front end can reach derives from
+GmanvolError, so it maps onto a small set of exit codes: malformed input,
+invalid graph data, or an input outside the reach of the implemented
+constructions.  The library API is looser: some of its functions and
+value classes, for example Slope, SeifertInvariants and
+riemann_hurwitz_genus, raise ValueError or TypeError on invalid arguments.
 """
 
 
@@ -67,20 +69,8 @@ class DisconnectedCover(GmanvolError):
     """Internal consistency failure: a constructed cover is disconnected."""
 
 
-class NotPMJ(GmanvolError):
-    """A gluing matrix is not of the plus/minus swap form."""
-
-
-class NotAdjacent(GmanvolError):
-    """The two pieces do not share a gluing torus."""
-
-
 class EhnFails(GmanvolError):
     """No horizontal foliation exists for the filled piece."""
-
-
-class WrongCase(GmanvolError):
-    """The graph belongs to the other absolute-Euler-number case."""
 
 
 class PMJFormRequired(GmanvolError):

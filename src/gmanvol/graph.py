@@ -459,13 +459,19 @@ def filled_piece_invariants(
     return fill_framed_piece(piece.genus, slopes)
 
 
+def _filled_euler_table(gm: GraphManifold) -> dict[str, Fraction]:
+    """Piece id -> Euler number of the piece filled along its canonical framing."""
+    return {
+        piece.id: euler_number(
+            filled_piece_invariants(gm, piece.id, canonical_framing(gm, piece.id))
+        )
+        for piece in gm.pieces
+    }
+
+
 def absolute_euler_number(gm: GraphManifold) -> Fraction:
     """Sum over pieces of |e| of the piece filled along its canonical framing."""
-    total = Fraction(0)
-    for piece in gm.pieces:
-        framing = canonical_framing(gm, piece.id)
-        total += abs(euler_number(filled_piece_invariants(gm, piece.id, framing)))
-    return total
+    return sum(map(abs, _filled_euler_table(gm).values()), Fraction(0))
 
 
 def is_pm_j_form(gm: GraphManifold) -> bool:

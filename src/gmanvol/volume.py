@@ -14,29 +14,33 @@ All values are exact rational multiples of pi^2 and the emitted bound is a
 statement about the cover named in the certificate, never about the input
 manifold itself (volume can only be pushed down a covering, not up).
 
-The construction splits on the absolute Euler number |e| of the graph, the
-sum over pieces P of |e(P)|, where e(P) is the Euler number of P filled
-along its canonical framing; each e(P) is computed once per certificate.
+Every certificate comes from one path, volume_lower_bound.  It computes
+e(P), the Euler number of each piece P filled along its canonical framing,
+once, and picks a plan: the pieces to fill and one filling slope per slot.
+It covers the graph until every planned filled piece passes the foliation
+test, takes the flat connection on each of them, and certifies the
+Godbillon-Vey value 2 * sum of |cs(P)| over the plan.  Every neighbor of
+the plan carries a connection that kills the fiber and contributes zero.
+What remains existential is the boundary translation data of those
+neighbors: realizing it as a product of commutators needs |sum of
+translation classes| < 2 genus - 1, and the certificate records the genus
+threshold under a configured bound on that sum, discharged by the
+existence of genus-raising covers of every order.
 
-Case |e| != 0 (case1_bound).  The chosen piece P has the largest |e(P)|
-(ties go to the smallest id).  A characteristic cover raises its base genus
-until the foliation test passes; the flat connection on the filled piece
-contributes |cs| = 2 pi^2 |e(P)|, every neighbor carries a connection that
-kills the fiber and contributes zero, and the certificate bound is the
-Godbillon-Vey value 4 pi^2 |e(P)|, not 4 pi^2 |e|.  What remains existential is
-the boundary translation data of the neighbors: realizing it as a product
-of commutators needs |sum of translation classes| < 2 genus - 1, and the
-certificate records the genus threshold under a configured bound on that
-sum, discharged by the existence of genus-raising covers of every order.
+The plan depends on the absolute Euler number |e|, the sum of |e(P)|.
 
-Case |e| = 0 (case2_bound).  The graph must already have all gluing
-matrices equal to plus or minus the swap J (inputs outside that form are
-rejected: the normalizing cover that arranges it is not constructed by
-this tool).  Two adjacent pieces joined by r parallel tori are filled with
-the slope section-minus-fiber on the shared tori, which the swap carries
-to itself, so the two boundary connection normal forms match.  Each side's
+Case |e| != 0.  The plan is the piece P with the largest |e(P)| (ties go
+to the smallest id), filled along its canonical framing.  It contributes
+|cs| = 2 pi^2 |e(P)|, so the bound is 4 pi^2 |e(P)|, not 4 pi^2 |e|.
+
+Case |e| = 0.  The graph must already have all gluing matrices equal to
+plus or minus the swap J (inputs outside that form are rejected: the
+normalizing cover that arranges it is not constructed by this tool).  The
+plan is two adjacent pieces joined by r parallel tori, filled with the
+slope section-minus-fiber on the shared tori, which the swap carries to
+itself, so the two boundary connection normal forms match.  Each side's
 filled Euler number has magnitude r, the combined connection has
-|cs| = 4 pi^2 r, and the certificate bound is 8 pi^2 r.
+|cs| = 4 pi^2 r, and the bound is 8 pi^2 r.
 """
 
 from __future__ import annotations
@@ -51,17 +55,11 @@ from .coverings import (
     min_prime_for_ehn_cover,
     next_prime_above,
 )
-from .errors import (
-    EhnFails,
-    GmanvolError,
-    NotAdjacent,
-    NotPMJ,
-    PMJFormRequired,
-    WrongCase,
-)
+from .errors import EhnFails, GmanvolError, PMJFormRequired
 from .graph import (
     GraphManifold,
     Slope,
+    _filled_euler_table,
     _require_valid,
     canonical_framing,
     filled_piece_invariants,
@@ -229,119 +227,15 @@ def _commutator_side_conditions(
     return conditions
 
 
-def _filled_euler_table(gm: GraphManifold) -> dict[str, Fraction]:
-    """Piece id -> Euler number of the piece filled along its canonical framing."""
-    return {
-        piece.id: euler_number(
-            filled_piece_invariants(gm, piece.id, canonical_framing(gm, piece.id))
-        )
-        for piece in gm.pieces
-    }
+def _swap_pair_plan(gm: GraphManifold) -> tuple[dict[str, list[Slope]], int]:
+    """The filling plan of a zero-|e| graph and the r of its chosen pair.
 
-
-def case1_bound(gm: GraphManifold, config: VolumeConfig | None = None) -> VolumeCertificate:
-    """Certificate for the nonzero-absolute-Euler-number case.
-
-    Selects the piece P with the largest |Euler number after filling along
-    its canonical framing| (ties broken by smallest id), covers the graph
-    until that filled piece passes the foliation test, and certifies the
-    bound 4 pi^2 |e(P)| for the cover.
+    Raises PMJFormRequired unless every gluing matrix is a plus/minus swap.
+    The adjacent pair joined by the most parallel tori is chosen (ties
+    broken lexicographically).  Each side is filled with section-minus-fiber
+    on the shared tori, in its own coordinates, and with its canonical
+    framing elsewhere.
     """
-    filled_euler = _filled_euler_table(gm)
-    if not any(filled_euler.values()):
-        raise WrongCase("absolute Euler number is zero; use the swap-form case")
-    return _case1_bound(gm, filled_euler, config or VolumeConfig())
-
-
-def _case1_bound(
-    gm: GraphManifold, filled_euler: dict[str, Fraction], config: VolumeConfig
-) -> VolumeCertificate:
-    chosen = min(filled_euler, key=lambda pid: (-abs(filled_euler[pid]), pid))
-    slopes = canonical_framing(gm, chosen)
-
-    q_needed = min_prime_for_ehn_cover(gm, chosen, slopes)
-    tower, covered, degree = _tower_for(gm, q_needed)
-    cs = cs_of_filled_piece(filled_piece_invariants(covered, chosen, slopes))
-    side_conditions = _commutator_side_conditions(gm, (chosen,), config)
-    return VolumeCertificate(
-        case_tag=CASE_NONZERO,
-        tower=tower,
-        total_cover_degree=degree,
-        chosen_piece=chosen,
-        chosen_pair=None,
-        parallel_tori=None,
-        filling_slopes={
-            f"{chosen}:{slot}": slope for slot, slope in enumerate(slopes)
-        },
-        bound=gv_of_certified_connection(PiSquaredValue(abs(cs.coefficient))),
-        side_conditions=tuple(side_conditions),
-        covered_manifold=covered,
-    )
-
-
-def _case2_filling_slopes(
-    gm: GraphManifold, piece1: str, piece2: str
-) -> tuple[list[Slope], list[Slope], int]:
-    """Per-slot filling slopes for both pieces of an adjacent pair.
-
-    Shared tori are filled with the slope section-minus-fiber of each side;
-    every other slot takes the canonical framing slope.  Returns the two
-    slope lists and the number of shared tori.
-    """
-    chosen = {piece1, piece2}
-    shared_slots: dict[str, set[int]] = {piece1: set(), piece2: set()}
-    r = 0
-    for edge in gm.edges:
-        ends = {edge.tail[0], edge.head[0]}
-        if ends == chosen:
-            r += 1
-            for pid, slot in (edge.tail, edge.head):
-                shared_slots[pid].add(slot)
-    if r == 0:
-        raise NotAdjacent(f"pieces {piece1!r} and {piece2!r} share no gluing torus")
-
-    slopes = {}
-    for pid in (piece1, piece2):
-        framing = canonical_framing(gm, pid)
-        slopes[pid] = [
-            SHARED_FILLING_SLOPE if slot in shared_slots[pid] else framing[slot]
-            for slot in range(gm.piece(pid).boundary)
-        ]
-    return slopes[piece1], slopes[piece2], r
-
-
-def case2_euler_pair(
-    gm: GraphManifold, piece1: str, piece2: str
-) -> tuple[Fraction, Fraction, int]:
-    """Filled Euler numbers of an adjacent pair in a swap-form graph.
-
-    Each piece is filled with section-minus-fiber on the tori shared with
-    the partner (in its own coordinates) and with the canonical framing on
-    its remaining tori.  In swap form each framing slope is the section,
-    so each side comes out to minus the number of shared tori.
-    """
-    if not is_pm_j_form(gm):
-        raise NotPMJ("the gluing matrices are not all plus/minus swaps")
-    slopes1, slopes2, r = _case2_filling_slopes(gm, piece1, piece2)
-    e1 = euler_number(filled_piece_invariants(gm, piece1, slopes1))
-    e2 = euler_number(filled_piece_invariants(gm, piece2, slopes2))
-    return e1, e2, r
-
-
-def case2_bound(gm: GraphManifold, config: VolumeConfig | None = None) -> VolumeCertificate:
-    """Certificate for the zero-absolute-Euler-number, swap-form case.
-
-    Selects the adjacent pair joined by the most parallel tori (ties broken
-    lexicographically), fills both sides as in case2_euler_pair, covers the
-    graph until both filled pieces pass the foliation test, and certifies
-    the bound 8 pi^2 r for the cover.
-    """
-    if any(_filled_euler_table(gm).values()):
-        raise WrongCase("absolute Euler number is nonzero; use the nonzero case")
-    return _case2_bound(gm, config or VolumeConfig())
-
-
-def _case2_bound(gm: GraphManifold, config: VolumeConfig) -> VolumeCertificate:
     if not is_pm_j_form(gm):
         raise PMJFormRequired(
             "absolute Euler number is zero but the gluing matrices are not all "
@@ -350,70 +244,83 @@ def _case2_bound(gm: GraphManifold, config: VolumeConfig) -> VolumeCertificate:
             "constructed by this tool"
         )
 
-    pair_count: dict[tuple[str, str], int] = {}
+    shared_ends: dict[tuple[str, str], list[tuple[str, int]]] = {}
     for edge in gm.edges:
         pair = tuple(sorted((edge.tail[0], edge.head[0])))
-        pair_count[pair] = pair_count.get(pair, 0) + 1
-    piece1, piece2 = min(pair_count, key=lambda pair: (-pair_count[pair], pair))
-    slopes1, slopes2, r = _case2_filling_slopes(gm, piece1, piece2)
-
-    q_needed = max(
-        min_prime_for_ehn_cover(gm, piece1, slopes1),
-        min_prime_for_ehn_cover(gm, piece2, slopes2),
-    )
-    tower, covered, degree = _tower_for(gm, q_needed)
-    cs1 = cs_of_filled_piece(filled_piece_invariants(covered, piece1, slopes1))
-    cs2 = cs_of_filled_piece(filled_piece_invariants(covered, piece2, slopes2))
-    cs_magnitude = PiSquaredValue(abs(cs1.coefficient) + abs(cs2.coefficient))
-    if cs_magnitude.coefficient != 4 * r:
-        raise AssertionError("combined Chern-Simons magnitude must equal 4r")
-    e1, e2 = cs1.coefficient / 2, cs2.coefficient / 2
-
-    side_conditions = [
-        {
-            "type": "boundary-normal-form-match",
-            "pieces": [piece1, piece2],
-            "rule": (
-                "every plus/minus swap carries the section-minus-fiber slope of "
-                "one side to that of the other, so the boundary connection "
-                "normal forms on the shared tori agree with equal dx and dy "
-                "coefficients"
-            ),
-        },
-        {
-            "type": "orientation-convention",
-            "filled_euler": [format_rational(e1), format_rational(e2)],
-            "rule": (
-                "in the fixed transport convention both filled Euler numbers "
-                "equal -r; the certified Chern-Simons magnitude "
-                "2*pi^2*(|e1| + |e2|) does not depend on orientation bookkeeping"
-            ),
-        },
-    ]
-    side_conditions.extend(_commutator_side_conditions(gm, (piece1, piece2), config))
-
-    filling = {f"{piece1}:{slot}": s for slot, s in enumerate(slopes1)}
-    filling.update({f"{piece2}:{slot}": s for slot, s in enumerate(slopes2)})
-    return VolumeCertificate(
-        case_tag=CASE_ZERO_PMJ,
-        tower=tower,
-        total_cover_degree=degree,
-        chosen_piece=None,
-        chosen_pair=(piece1, piece2),
-        parallel_tori=r,
-        filling_slopes=filling,
-        bound=gv_of_certified_connection(cs_magnitude),
-        side_conditions=tuple(side_conditions),
-        covered_manifold=covered,
-    )
+        shared_ends.setdefault(pair, []).extend((edge.tail, edge.head))
+    pair = min(shared_ends, key=lambda p: (-len(shared_ends[p]), p))
+    ends = set(shared_ends[pair])
+    plan = {
+        pid: [
+            SHARED_FILLING_SLOPE if (pid, slot) in ends else slope
+            for slot, slope in enumerate(canonical_framing(gm, pid))
+        ]
+        for pid in pair
+    }
+    return plan, len(shared_ends[pair]) // 2
 
 
 def volume_lower_bound(
     gm: GraphManifold, config: VolumeConfig | None = None
 ) -> VolumeCertificate:
     """Emit a positive Seifert-volume lower bound for a finite cover of gm."""
+    config = config or VolumeConfig()
     _require_valid(gm)
     filled_euler = _filled_euler_table(gm)
     if any(filled_euler.values()):
-        return _case1_bound(gm, filled_euler, config or VolumeConfig())
-    return _case2_bound(gm, config or VolumeConfig())
+        chosen = min(filled_euler, key=lambda pid: (-abs(filled_euler[pid]), pid))
+        plan, r = {chosen: canonical_framing(gm, chosen)}, None
+    else:
+        plan, r = _swap_pair_plan(gm)
+
+    q_needed = max(min_prime_for_ehn_cover(gm, pid, slopes) for pid, slopes in plan.items())
+    tower, covered, degree = _tower_for(gm, q_needed)
+    cs = [
+        cs_of_filled_piece(filled_piece_invariants(covered, pid, slopes)).coefficient
+        for pid, slopes in plan.items()
+    ]
+    cs_magnitude = PiSquaredValue(sum(abs(value) for value in cs))
+
+    side_conditions = []
+    if r is not None:
+        if cs_magnitude.coefficient != 4 * r:
+            raise AssertionError("combined Chern-Simons magnitude must equal 4r")
+        side_conditions = [
+            {
+                "type": "boundary-normal-form-match",
+                "pieces": list(plan),
+                "rule": (
+                    "every plus/minus swap carries the section-minus-fiber slope of "
+                    "one side to that of the other, so the boundary connection "
+                    "normal forms on the shared tori agree with equal dx and dy "
+                    "coefficients"
+                ),
+            },
+            {
+                "type": "orientation-convention",
+                "filled_euler": [format_rational(value / 2) for value in cs],
+                "rule": (
+                    "in the fixed transport convention both filled Euler numbers "
+                    "equal -r; the certified Chern-Simons magnitude "
+                    "2*pi^2*(|e1| + |e2|) does not depend on orientation bookkeeping"
+                ),
+            },
+        ]
+    side_conditions.extend(_commutator_side_conditions(gm, tuple(plan), config))
+
+    return VolumeCertificate(
+        case_tag=CASE_NONZERO if r is None else CASE_ZERO_PMJ,
+        tower=tower,
+        total_cover_degree=degree,
+        chosen_piece=next(iter(plan)) if r is None else None,
+        chosen_pair=None if r is None else tuple(plan),
+        parallel_tori=r,
+        filling_slopes={
+            f"{pid}:{slot}": slope
+            for pid, slopes in plan.items()
+            for slot, slope in enumerate(slopes)
+        },
+        bound=gv_of_certified_connection(cs_magnitude),
+        side_conditions=tuple(side_conditions),
+        covered_manifold=covered,
+    )

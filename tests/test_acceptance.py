@@ -6,6 +6,7 @@ to see the per-criterion lines.
 """
 
 import random
+from fractions import Fraction
 
 from gmanvol import (
     BoundaryCountTooSmall,
@@ -16,8 +17,6 @@ from gmanvol import (
     PrimeManifoldDescription,
     SeifertInvariants,
     canonical_framing,
-    case2_bound,
-    case2_euler_pair,
     characteristic_cover,
     ehn_horizontal_foliation,
     euler_number,
@@ -126,10 +125,13 @@ def test_criterion_4_case2_magnitude():
         for genus in (2, 3, 4):
             matrices = [rng.choice([J, MINUS_J]) for _ in range(r)]
             gm = two_piece_graph(matrices, genus_a=genus, genus_b=genus)
-            e1, e2, got_r = case2_euler_pair(gm, "A", "B")
-            if (abs(e1), abs(e2), got_r) != (r, r, r):
-                failures.append(("pair", r, genus, e1, e2, got_r))
-            cert = case2_bound(gm)
+            cert = volume_lower_bound(gm)
+            (convention,) = (
+                c for c in cert.side_conditions if c["type"] == "orientation-convention"
+            )
+            e1, e2 = (abs(Fraction(e)) for e in convention["filled_euler"])
+            if (e1, e2, cert.parallel_tori) != (r, r, r):
+                failures.append(("pair", r, genus, e1, e2, cert.parallel_tori))
             if cert.bound.coefficient != 8 * r:
                 failures.append(("bound", r, genus, cert.bound.coefficient))
             if (r, genus) == (5, 2):

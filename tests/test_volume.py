@@ -1,4 +1,5 @@
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -9,19 +10,18 @@ from gmanvol import (
     GluingMatrix,
     J,
     MINUS_J,
-    NotAdjacent,
+    BundlePiece,
+    Edge,
+    GraphManifold,
     PiSquaredValue,
     PMJFormRequired,
     SeifertInvariants,
     Slope,
     ValidationError,
+    VolumeCertificate,
     VolumeConfig,
-    WrongCase,
     absolute_euler_number,
     canonical_framing,
-    case1_bound,
-    case2_bound,
-    case2_euler_pair,
     cs_of_filled_piece,
     ehn_horizontal_foliation,
     EhnFails,
@@ -29,13 +29,24 @@ from gmanvol import (
     euler_number,
     filled_piece_invariants,
     gv_of_certified_connection,
+    is_pm_j_form,
+    min_prime_for_ehn_cover,
     verify_covering_certificate,
     volume_lower_bound,
 )
 import gmanvol.cli
+import gmanvol.errors
 import gmanvol.graph
 import gmanvol.volume
-from gmanvol.serialize import canonical_json_bytes
+from gmanvol.graph import _require_valid
+from gmanvol.serialize import canonical_json_bytes, format_rational
+from gmanvol.volume import (
+    CASE_NONZERO,
+    CASE_ZERO_PMJ,
+    SHARED_FILLING_SLOPE,
+    _commutator_side_conditions,
+    _tower_for,
+)
 from builders import random_valid_graph, two_piece_graph
 
 M1110 = GluingMatrix.of(1, 1, 1, 0)
@@ -60,6 +71,13 @@ def recheck_tower_certificates(cert, base):
         assert verify_covering_certificate(stage, stage_base) == []
         stage_base = stage.manifold
     assert cert.covered_manifold == stage_base
+
+
+def filled_euler_pair(cert):
+    """The pair's filled Euler numbers and r, as a swap-form certificate records them."""
+    (condition,) = (c for c in cert.side_conditions if c["type"] == "orientation-convention")
+    e1, e2 = condition["filled_euler"]
+    return Fraction(e1), Fraction(e2), cert.parallel_tori
 
 
 class TestClosedFormValues:
@@ -88,7 +106,7 @@ class TestClosedFormValues:
 class TestCase1:
     def test_two_parallel_generic_edges(self):
         gm = two_piece_graph([M1110, M1110])
-        cert = case1_bound(gm)
+        cert = volume_lower_bound(gm)
         assert cert.chosen_piece == "A"
         assert cert.bound.coefficient == 8
         assert cert.total_cover_degree == 1 and cert.tower == ()
@@ -96,13 +114,9 @@ class TestCase1:
 
     def test_mixed_pair_of_edges(self):
         gm = two_piece_graph([M1110, J])
-        cert = case1_bound(gm)
+        cert = volume_lower_bound(gm)
         assert cert.bound.coefficient == 4
         recheck_foliation_at_tower_stage(cert)
-
-    def test_wrong_case(self):
-        with pytest.raises(WrongCase):
-            case1_bound(two_piece_graph([J]))
 
     def test_tower_emitted_when_needed(self):
         # Framing slope (1, -5) on both slots of A fails the foliation test
@@ -110,7 +124,7 @@ class TestCase1:
         m = GluingMatrix.of(5, 1, 1, 0)  # inverse sends (0,1) to (1,-5)
         gm = two_piece_graph([m, m])
         assert canonical_framing(gm, "A") == [Slope(1, -5), Slope(1, -5)]
-        cert = case1_bound(gm)
+        cert = volume_lower_bound(gm)
         assert cert.chosen_piece == "A"
         assert cert.bound.coefficient == 40
         assert cert.total_cover_degree == 9
@@ -122,7 +136,7 @@ class TestCase1:
     def test_bound_matches_recomputation_upstairs(self):
         m = GluingMatrix.of(5, 1, 1, 0)
         gm = two_piece_graph([m, m])
-        cert = case1_bound(gm)
+        cert = volume_lower_bound(gm)
         final = cert.covered_manifold
         slopes = [cert.filling_slopes[f"A:{i}"] for i in range(2)]
         up = euler_number(filled_piece_invariants(final, "A", slopes))
@@ -130,7 +144,7 @@ class TestCase1:
 
     def test_side_conditions_structure(self):
         gm = two_piece_graph([M1110])
-        cert = case1_bound(gm, VolumeConfig(alpha_bound=9))
+        cert = volume_lower_bound(gm, VolumeConfig(alpha_bound=9))
         kinds = [c["type"] for c in cert.side_conditions]
         assert kinds == [
             "neighbor-commutator-genus",
@@ -147,37 +161,20 @@ class TestCase1:
 class TestCase2Pair:
     def test_single_swap(self):
         gm = two_piece_graph([J])
-        assert case2_euler_pair(gm, "A", "B") == (-1, -1, 1)
+        assert filled_euler_pair(volume_lower_bound(gm)) == (-1, -1, 1)
 
     def test_three_parallel_swaps(self):
         gm = two_piece_graph([J, J, J])
-        assert case2_euler_pair(gm, "A", "B") == (-3, -3, 3)
+        assert filled_euler_pair(volume_lower_bound(gm)) == (-3, -3, 3)
 
     def test_negative_swap(self):
         gm = two_piece_graph([MINUS_J])
-        assert case2_euler_pair(gm, "A", "B") == (-1, -1, 1)
-
-    def test_not_adjacent(self):
-        import gmanvol as g
-
-        gm = g.GraphManifold(
-            (
-                g.BundlePiece("A", 2, 1),
-                g.BundlePiece("B", 2, 2),
-                g.BundlePiece("C", 2, 1),
-            ),
-            (
-                g.Edge(("A", 0), ("B", 0), J),
-                g.Edge(("B", 1), ("C", 0), J),
-            ),
-        )
-        with pytest.raises(NotAdjacent):
-            case2_euler_pair(gm, "A", "C")
+        assert filled_euler_pair(volume_lower_bound(gm)) == (-1, -1, 1)
 
 
 class TestCase2Bound:
     def test_single_swap(self):
-        cert = case2_bound(two_piece_graph([J]))
+        cert = volume_lower_bound(two_piece_graph([J]))
         assert cert.bound.coefficient == 8
         assert cert.parallel_tori == 1
         assert cert.total_cover_degree == 1
@@ -185,7 +182,7 @@ class TestCase2Bound:
 
     def test_five_parallel_swaps(self):
         gm = two_piece_graph([J] * 5)
-        cert = case2_bound(gm)
+        cert = volume_lower_bound(gm)
         assert cert.bound.coefficient == 40
         assert cert.total_cover_degree == 49
         assert cert.tower[0].certificate.characteristic_level == 7
@@ -201,11 +198,7 @@ class TestCase2Bound:
         )
         assert absolute_euler_number(gm) == 0
         with pytest.raises(PMJFormRequired):
-            case2_bound(gm)
-
-    def test_wrong_case(self):
-        with pytest.raises(WrongCase):
-            case2_bound(two_piece_graph([M1110]))
+            volume_lower_bound(gm)
 
     def test_pair_selection_prefers_widest(self):
         import gmanvol as g
@@ -222,7 +215,7 @@ class TestCase2Bound:
                 g.Edge(("B", 2), ("C", 1), MINUS_J),
             ),
         )
-        cert = case2_bound(gm)
+        cert = volume_lower_bound(gm)
         assert cert.chosen_pair == ("B", "C")
         assert cert.parallel_tori == 2
         assert cert.bound.coefficient == 16
@@ -351,3 +344,232 @@ class TestOnePass:
             calls.clear()
             assert gmanvol.cli.run(["volume-bound", str(path)], io.StringIO(), io.StringIO()) == 0
             assert len(calls) == 1
+
+
+# The certificate builders as they stood before both cases shared one path,
+# kept verbatim apart from the ref_ names; ref_volume_lower_bound is the
+# reference the one path is compared against.
+
+
+class NotAdjacent(GmanvolError):
+    """Raised by ref_case2_filling_slopes on a pair without a shared torus."""
+
+
+def ref_filled_euler_table(gm: GraphManifold) -> dict[str, Fraction]:
+    """Piece id -> Euler number of the piece filled along its canonical framing."""
+    return {
+        piece.id: euler_number(
+            filled_piece_invariants(gm, piece.id, canonical_framing(gm, piece.id))
+        )
+        for piece in gm.pieces
+    }
+
+
+def ref_case1_bound(
+    gm: GraphManifold, filled_euler: dict[str, Fraction], config: VolumeConfig
+) -> VolumeCertificate:
+    chosen = min(filled_euler, key=lambda pid: (-abs(filled_euler[pid]), pid))
+    slopes = canonical_framing(gm, chosen)
+
+    q_needed = min_prime_for_ehn_cover(gm, chosen, slopes)
+    tower, covered, degree = _tower_for(gm, q_needed)
+    cs = cs_of_filled_piece(filled_piece_invariants(covered, chosen, slopes))
+    side_conditions = _commutator_side_conditions(gm, (chosen,), config)
+    return VolumeCertificate(
+        case_tag=CASE_NONZERO,
+        tower=tower,
+        total_cover_degree=degree,
+        chosen_piece=chosen,
+        chosen_pair=None,
+        parallel_tori=None,
+        filling_slopes={
+            f"{chosen}:{slot}": slope for slot, slope in enumerate(slopes)
+        },
+        bound=gv_of_certified_connection(PiSquaredValue(abs(cs.coefficient))),
+        side_conditions=tuple(side_conditions),
+        covered_manifold=covered,
+    )
+
+
+def ref_case2_filling_slopes(
+    gm: GraphManifold, piece1: str, piece2: str
+) -> tuple[list[Slope], list[Slope], int]:
+    """Per-slot filling slopes for both pieces of an adjacent pair.
+
+    Shared tori are filled with the slope section-minus-fiber of each side;
+    every other slot takes the canonical framing slope.  Returns the two
+    slope lists and the number of shared tori.
+    """
+    chosen = {piece1, piece2}
+    shared_slots: dict[str, set[int]] = {piece1: set(), piece2: set()}
+    r = 0
+    for edge in gm.edges:
+        ends = {edge.tail[0], edge.head[0]}
+        if ends == chosen:
+            r += 1
+            for pid, slot in (edge.tail, edge.head):
+                shared_slots[pid].add(slot)
+    if r == 0:
+        raise NotAdjacent(f"pieces {piece1!r} and {piece2!r} share no gluing torus")
+
+    slopes = {}
+    for pid in (piece1, piece2):
+        framing = canonical_framing(gm, pid)
+        slopes[pid] = [
+            SHARED_FILLING_SLOPE if slot in shared_slots[pid] else framing[slot]
+            for slot in range(gm.piece(pid).boundary)
+        ]
+    return slopes[piece1], slopes[piece2], r
+
+
+def ref_case2_bound(gm: GraphManifold, config: VolumeConfig) -> VolumeCertificate:
+    if not is_pm_j_form(gm):
+        raise PMJFormRequired(
+            "absolute Euler number is zero but the gluing matrices are not all "
+            "plus/minus swaps; the finite cover that normalizes a "
+            "zero-absolute-Euler graph manifold into swap form is not "
+            "constructed by this tool"
+        )
+
+    pair_count: dict[tuple[str, str], int] = {}
+    for edge in gm.edges:
+        pair = tuple(sorted((edge.tail[0], edge.head[0])))
+        pair_count[pair] = pair_count.get(pair, 0) + 1
+    piece1, piece2 = min(pair_count, key=lambda pair: (-pair_count[pair], pair))
+    slopes1, slopes2, r = ref_case2_filling_slopes(gm, piece1, piece2)
+
+    q_needed = max(
+        min_prime_for_ehn_cover(gm, piece1, slopes1),
+        min_prime_for_ehn_cover(gm, piece2, slopes2),
+    )
+    tower, covered, degree = _tower_for(gm, q_needed)
+    cs1 = cs_of_filled_piece(filled_piece_invariants(covered, piece1, slopes1))
+    cs2 = cs_of_filled_piece(filled_piece_invariants(covered, piece2, slopes2))
+    cs_magnitude = PiSquaredValue(abs(cs1.coefficient) + abs(cs2.coefficient))
+    if cs_magnitude.coefficient != 4 * r:
+        raise AssertionError("combined Chern-Simons magnitude must equal 4r")
+    e1, e2 = cs1.coefficient / 2, cs2.coefficient / 2
+
+    side_conditions = [
+        {
+            "type": "boundary-normal-form-match",
+            "pieces": [piece1, piece2],
+            "rule": (
+                "every plus/minus swap carries the section-minus-fiber slope of "
+                "one side to that of the other, so the boundary connection "
+                "normal forms on the shared tori agree with equal dx and dy "
+                "coefficients"
+            ),
+        },
+        {
+            "type": "orientation-convention",
+            "filled_euler": [format_rational(e1), format_rational(e2)],
+            "rule": (
+                "in the fixed transport convention both filled Euler numbers "
+                "equal -r; the certified Chern-Simons magnitude "
+                "2*pi^2*(|e1| + |e2|) does not depend on orientation bookkeeping"
+            ),
+        },
+    ]
+    side_conditions.extend(_commutator_side_conditions(gm, (piece1, piece2), config))
+
+    filling = {f"{piece1}:{slot}": s for slot, s in enumerate(slopes1)}
+    filling.update({f"{piece2}:{slot}": s for slot, s in enumerate(slopes2)})
+    return VolumeCertificate(
+        case_tag=CASE_ZERO_PMJ,
+        tower=tower,
+        total_cover_degree=degree,
+        chosen_piece=None,
+        chosen_pair=(piece1, piece2),
+        parallel_tori=r,
+        filling_slopes=filling,
+        bound=gv_of_certified_connection(cs_magnitude),
+        side_conditions=tuple(side_conditions),
+        covered_manifold=covered,
+    )
+
+
+def ref_volume_lower_bound(
+    gm: GraphManifold, config: VolumeConfig | None = None
+) -> VolumeCertificate:
+    """Emit a positive Seifert-volume lower bound for a finite cover of gm."""
+    _require_valid(gm)
+    filled_euler = ref_filled_euler_table(gm)
+    if any(filled_euler.values()):
+        return ref_case1_bound(gm, filled_euler, config or VolumeConfig())
+    return ref_case2_bound(gm, config or VolumeConfig())
+
+
+def certificate_outcome(build, gm, config=None):
+    """The certificate bytes and covered manifold, or the error type and message."""
+    try:
+        cert = build(gm, config)
+    except GmanvolError as exc:
+        return type(exc), str(exc)
+    return canonical_json_bytes(cert.to_document()), cert.covered_manifold
+
+
+def relabeled_shuffled(gm, rng):
+    """gm with its piece ids permuted onto new names, built from shuffled lists."""
+    names = [f"Q{i}" for i in range(len(gm.pieces))]
+    rng.shuffle(names)
+    new = {piece.id: name for piece, name in zip(gm.pieces, names)}
+    pieces = [BundlePiece(new[p.id], p.genus, p.boundary) for p in gm.pieces]
+    edges = [
+        Edge((new[e.tail[0]], e.tail[1]), (new[e.head[0]], e.head[1]), e.matrix)
+        for e in gm.edges
+    ]
+    rng.shuffle(pieces)
+    rng.shuffle(edges)
+    return GraphManifold(tuple(pieces), tuple(edges))
+
+
+class TestOnePath:
+    """volume_lower_bound against the two-case reference, byte for byte."""
+
+    def check(self, gm, config=None) -> str:
+        got = certificate_outcome(volume_lower_bound, gm, config)
+        assert got == certificate_outcome(ref_volume_lower_bound, gm, config)
+        if isinstance(got[0], bytes):
+            return json.loads(got[0])["case"]
+        return got[0].__name__
+
+    def test_random_graphs_match_reference(self):
+        outcomes = set()
+        for style in ("generic", "pmj", "mixed"):
+            for seed in range(20):
+                rng = random.Random(seed)
+                gm = random_valid_graph(rng, style=style)
+                config = VolumeConfig(alpha_bound=seed)
+                outcomes.add(self.check(gm))
+                outcomes.add(self.check(relabeled_shuffled(gm, rng), config))
+        assert outcomes == {"e_nonzero", "e_zero_pmj", "BoundaryCountTooSmall"}
+
+    def test_two_piece_graphs_match_reference(self):
+        m5 = GluingMatrix.of(5, 1, 1, 0)
+        cases = [
+            two_piece_graph([J]),
+            two_piece_graph([MINUS_J]),
+            two_piece_graph([J, MINUS_J, J]),
+            two_piece_graph([J] * 5),
+            two_piece_graph([J] * 3, genus_a=3, genus_b=4),
+            two_piece_graph([M1110]),
+            two_piece_graph([M1110, J]),
+            two_piece_graph([M1110, M1110]),
+            two_piece_graph([m5, m5]),
+            two_piece_graph([GluingMatrix.of(1, 2, 1, 1), GluingMatrix.of(-1, 2, 1, -1)]),
+            two_piece_graph([J], genus_a=1),
+        ]
+        outcomes = {self.check(gm) for gm in cases}
+        assert outcomes == {
+            "e_nonzero", "e_zero_pmj", "PMJFormRequired", "ValidationError",
+        }
+
+    def test_case_only_names_are_gone(self):
+        for name in ("case1_bound", "case2_bound", "case2_euler_pair"):
+            assert not hasattr(gmanvol.volume, name)
+            assert not hasattr(gmanvol, name)
+        for name in ("WrongCase", "NotPMJ", "NotAdjacent"):
+            assert not hasattr(gmanvol.errors, name)
+            assert not hasattr(gmanvol, name)
+
