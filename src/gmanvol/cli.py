@@ -27,6 +27,7 @@ from .coverings import characteristic_cover, covered_graph_to_document, genus_ra
 from .errors import GmanvolError, ParseError, ValidationError
 from .graph import (
     _expect_int,
+    _expect_keys,
     _require_valid,
     _short_repr,
     canonical_framing,
@@ -147,6 +148,10 @@ def _run_volume_bound(path: Path, args) -> tuple[dict, int]:
     return cert.to_document(), EXIT_OK
 
 
+_SEIFERT_KEYS = frozenset(("kind", "genus", "exceptional"))
+_FLAG_KEYS = frozenset(("kind",))
+
+
 def _description_from_document(doc) -> classify_mod.PrimeManifoldDescription:
     if isinstance(doc, dict) and "pieces" in doc and "edges" in doc:
         gm = graph_from_document(doc)
@@ -167,11 +172,11 @@ def _description_from_document(doc) -> classify_mod.PrimeManifoldDescription:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed Seifert description: {exc}") from exc
+        _expect_keys(doc, _SEIFERT_KEYS, "Seifert description")
         return classify_mod.PrimeManifoldDescription.from_seifert(inv)
-    if kind == classify_mod.KIND_TORUS_BUNDLE_COVERED:
-        return classify_mod.PrimeManifoldDescription.torus_bundle_covered()
-    if kind == classify_mod.KIND_HYPERBOLIC:
-        return classify_mod.PrimeManifoldDescription.hyperbolic()
+    if kind in (classify_mod.KIND_TORUS_BUNDLE_COVERED, classify_mod.KIND_HYPERBOLIC):
+        _expect_keys(doc, _FLAG_KEYS, f"{kind} description")
+        return classify_mod.PrimeManifoldDescription(kind=kind)
     raise ParseError(f"unknown manifold kind {_short_repr(kind)}")
 
 
@@ -216,14 +221,13 @@ def run(argv, stdout=None, stderr=None) -> int:
     for path in args.files:
         try:
             document, code = runner(path, args)
+            text = canonical_json_bytes(document, pretty=args.pretty).decode("utf-8")
         except GmanvolError as exc:
             doc = _error_document(exc)
             doc["file"] = str(path)
             stderr.write(canonical_json_bytes(doc).decode("utf-8") + "\n")
             return _exit_code_for(exc)
-        stdout.write(
-            canonical_json_bytes(document, pretty=args.pretty).decode("utf-8") + "\n"
-        )
+        stdout.write(text + "\n")
         if code != EXIT_OK:
             return code
     return EXIT_OK

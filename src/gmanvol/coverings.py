@@ -78,6 +78,7 @@ from .graph import (
     validate,
 )
 from .seifert import ehn_horizontal_foliation, min_genus_for_ehn
+from .serialize import _int_text
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,7 +366,7 @@ def verify_covering_certificate(cov: CoveredGraph, base: GraphManifold) -> list[
         if degree_over[pid] != cert.total_degree:
             report.append(
                 f"degree bookkeeping fails over piece {pid!r}: piece covers "
-                f"sum to {degree_over[pid]}, total degree is {cert.total_degree}"
+                f"sum to {_int_text(degree_over[pid])}, total degree is {cert.total_degree}"
             )
 
     if len(cov.torus_map) != len(up.edges):
@@ -402,7 +403,7 @@ def verify_covering_certificate(cov: CoveredGraph, base: GraphManifold) -> list[
         if preimages[base_index] * level_sq != cert.total_degree:
             report.append(
                 f"torus degree bookkeeping fails over edge {base_index}: "
-                f"{preimages[base_index]} preimages at torus degree {level_sq}, "
+                f"{preimages[base_index]} preimages at torus degree {_int_text(level_sq)}, "
                 f"total degree is {cert.total_degree}"
             )
     return report

@@ -51,7 +51,7 @@ from typing import Literal, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 from .seifert import SeifertInvariants, euler_number, fill_framed_piece
-from .serialize import canonical_json_bytes
+from .serialize import _int_text, canonical_json_bytes
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -259,7 +259,7 @@ def validate(gm: GraphManifold) -> list[str]:
         det = a * d - b * c
         if det != -1:
             violations.append(
-                f"edge {index}: determinant of gluing matrix is {det}, not -1"
+                f"edge {index}: determinant of gluing matrix is {_int_text(det)}, not -1"
             )
         if b == 0:
             violations.append(

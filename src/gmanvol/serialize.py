@@ -33,12 +33,34 @@ def format_rational(value: Fraction | int) -> str:
         ) from None
 
 
+def _int_text(value: int) -> str:
+    """Decimal text of a computed integer for a message, of bounded length.
+
+    An integer with more digits than the interpreter converts to text is
+    named by that limit instead of by its digits.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        return f"an integer of more than {sys.get_int_max_str_digits()} digits"
+
+
 def canonical_json_bytes(document, pretty: bool = False) -> bytes:
-    """Serialize a JSON-compatible document to canonical UTF-8 bytes."""
-    if pretty:
-        text = json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False)
-    else:
-        text = json.dumps(
-            document, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-        )
+    """Serialize a JSON-compatible document to canonical UTF-8 bytes.
+
+    Raises RationalTooLong when an integer in the document has more digits
+    than the interpreter converts to text.
+    """
+    try:
+        if pretty:
+            text = json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False)
+        else:
+            text = json.dumps(
+                document, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+            )
+    except ValueError:
+        raise RationalTooLong(
+            "an integer in the document has more than "
+            f"{sys.get_int_max_str_digits()} digits and cannot be printed"
+        ) from None
     return text.encode("utf-8")

@@ -295,6 +295,35 @@ class TestClassifyVerb:
         assert code == 3
         assert json.loads(err)["error"] == "ParseError"
 
+    def test_unknown_keys_exit_three(self, tmp_path):
+        cases = {
+            "misspelled": (
+                {"kind": "seifert", "genus": 0, "exceptionals": [[2, 1], [3, 1], [7, 1]]},
+                "unexpected keys in Seifert description: ['exceptionals']",
+            ),
+            "torus-extra": (
+                {"kind": "torus-bundle-covered", "genus": 1},
+                "unexpected keys in torus-bundle-covered description: ['genus']",
+            ),
+            "hyperbolic-extra": (
+                {"kind": "hyperbolic-or-contains-hyperbolic-piece", "volume": 2},
+                "unexpected keys in hyperbolic-or-contains-hyperbolic-piece "
+                "description: ['volume']",
+            ),
+            # Rejected before the key check, with the message it always had.
+            "no-genus": (
+                {"kind": "seifert", "exceptionals": []},
+                "malformed Seifert description: 'genus'",
+            ),
+        }
+        for name, (doc, message) in cases.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = invoke(["classify", str(path)])
+            assert (code, out) == (3, ""), name
+            assert json.loads(err)["error"] == "ParseError", name
+            assert json.loads(err)["message"] == message, name
+
 
 class TestExitCodesAndDeterminism:
     def test_parse_error_exits_three(self, tmp_path):
@@ -510,6 +539,52 @@ class TestHostileInputs:
         path = tmp_path / "long-rational.json"
         path.write_text(json.dumps(doc))
         self._expect_error(["invariants", str(path)], 2, "RationalTooLong")
+
+    def test_determinant_beyond_digit_limit(self, tmp_path):
+        # The input integers print, but the determinant has 8,599 digits.
+        big = 10**4299
+        doc = {
+            "pieces": [
+                {"id": "A", "genus": 2, "boundary": 1},
+                {"id": "B", "genus": 2, "boundary": 1},
+            ],
+            "edges": [{"tail": ["A", 0], "head": ["B", 0], "matrix": [[big, 1], [1, big]]}],
+        }
+        path = tmp_path / "long-determinant.json"
+        path.write_text(json.dumps(doc))
+        violation = (
+            "edge 0: determinant of gluing matrix is an integer of more than 4300 digits, not -1"
+        )
+        code, out, err = invoke_subprocess(["validate", str(path)])
+        assert (code, json.loads(out), err) == (1, [violation], "")
+        for argv in (
+            ["invariants"],
+            ["cover", "--mode", "characteristic", "--prime", "5"],
+            ["volume-bound"],
+            ["classify"],
+        ):
+            code, out, err = invoke_subprocess([argv[0], str(path), *argv[1:]])
+            assert (code, out) == (1, ""), argv
+            assert json.loads(err)["error"] == "ValidationError", argv
+            assert json.loads(err)["violations"] == [violation], argv
+
+    def test_cover_genus_beyond_digit_limit(self, tmp_path):
+        # A genus of 4,300 digits decodes; the genus of its cover does not print.
+        doc = {
+            "pieces": [
+                {"id": "A", "genus": 10**4299, "boundary": 2},
+                {"id": "B", "genus": 2, "boundary": 2},
+            ],
+            "edges": [
+                {"tail": ["A", i], "head": ["B", i], "matrix": [[0, 1], [1, 0]]} for i in range(2)
+            ],
+        }
+        path = tmp_path / "long-genus.json"
+        path.write_text(json.dumps(doc))
+        for mode in (["characteristic"], ["genus-raising", "--center", "B"]):
+            self._expect_error(
+                ["cover", str(path), "--mode", *mode, "--prime", "101"], 2, "RationalTooLong"
+            )
 
     def test_parse_errors_echo_bounded_input(self, tmp_path):
         huge = "x" * 100_000

@@ -457,6 +457,24 @@ class TestCoveredGraphDocument:
         with pytest.raises(ParseError, match="torus_map entry"):
             covered_graph_from_document(cover_doc)
 
+    UNPRINTABLE = {
+        "degrees": "degree bookkeeping fails over piece 'A': piece covers sum to "
+        "an integer of more than 4300 digits, total degree is 3",
+        "characteristic_level": "torus degree bookkeeping fails over edge 0: 3 "
+        "preimages at torus degree an integer of more than 4300 digits, total degree is 3",
+    }
+
+    @pytest.mark.parametrize("field", UNPRINTABLE)
+    def test_unprintable_sums_are_reported(self, star, field):
+        doc = covered_graph_to_document(genus_raising_cover(star, "A", 3))
+        if field == "degrees":
+            record = doc["certificate"]["per_piece"]["A~0"]
+            record["vertical_degree"] = record["horizontal_degree"] = 10**2200
+        else:
+            doc["certificate"]["characteristic_level"] = 10**2200
+        report = verify_covering_certificate(covered_graph_from_document(doc), star)
+        assert self.UNPRINTABLE[field] in report
+
     def test_torus_map_must_be_a_list(self, cover_doc):
         cover_doc["torus_map"] = "0" * len(cover_doc["torus_map"])
         with pytest.raises(ParseError, match="torus_map"):
