@@ -10,12 +10,12 @@ from gmanvol import (
     GeometryType,
     GraphManifold,
     J,
-    PrimeManifoldDescription,
     SeifertInvariants,
     geometry_finiteness,
     geometry_type,
     mapping_degree_finiteness,
 )
+from gmanvol.classify import KIND_HYPERBOLIC, KIND_TORUS_BUNDLE_COVERED
 
 print("A target admits maps of unboundedly many degrees exactly when it is")
 print("finitely covered by a torus bundle, a trivial circle bundle, or the")
@@ -28,8 +28,7 @@ print()
 triangle = SeifertInvariants(0, ((2, 1), (3, 1), (7, 1)))
 print("The (2,3,7) triangle manifold has geometry",
       geometry_type(triangle).value, "so:")
-print(" ", mapping_degree_finiteness(
-    PrimeManifoldDescription.from_seifert(triangle)).to_document())
+print(" ", mapping_degree_finiteness(triangle).to_document())
 print()
 
 double_j = GraphManifold(
@@ -39,14 +38,9 @@ double_j = GraphManifold(
 print("Every valid decorated graph is a non-trivial graph manifold, and a")
 print("finite cover of it carries positive Seifert volume, so degrees into")
 print("it form a finite set:")
-print(" ", mapping_degree_finiteness(
-    PrimeManifoldDescription.from_graph(double_j)).to_document())
+print(" ", mapping_degree_finiteness(double_j).to_document())
 print()
 
 print("Callers assert the remaining cases as flags:")
-for desc in (
-    PrimeManifoldDescription.torus_bundle_covered(),
-    PrimeManifoldDescription.hyperbolic(),
-):
-    print(f"  {desc.kind:<42} ->",
-          mapping_degree_finiteness(desc).to_document())
+for flag in (KIND_TORUS_BUNDLE_COVERED, KIND_HYPERBOLIC):
+    print(f"  {flag:<42} ->", mapping_degree_finiteness(flag).to_document())

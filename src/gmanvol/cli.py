@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +35,7 @@ from .graph import (
     validate,
 )
 from .seifert import SeifertInvariants, _geometry, euler_number, orbifold_euler_char
-from .serialize import canonical_json_bytes, format_rational
+from .serialize import _load_json, canonical_json_bytes, format_rational
 from .volume import VolumeConfig, volume_lower_bound
 
 EXIT_OK = 0
@@ -88,15 +87,7 @@ def _load_document(path: Path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    except ValueError as exc:
-        # An integer literal beyond the interpreter's digit limit.
-        raise ParseError(f"{path} has an integer that is too long: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError(f"{path} is nested too deeply: {exc}") from exc
+    return _load_json(text, str(path))
 
 
 def _run_validate(path: Path, args) -> tuple[dict | list, int]:
@@ -152,10 +143,10 @@ _SEIFERT_KEYS = frozenset(("kind", "genus", "exceptional"))
 _FLAG_KEYS = frozenset(("kind",))
 
 
-def _description_from_document(doc) -> classify_mod.PrimeManifoldDescription:
+def _description_from_document(doc):
+    """The target of a classify document, as mapping_degree_finiteness takes it."""
     if isinstance(doc, dict) and "pieces" in doc and "edges" in doc:
-        gm = graph_from_document(doc)
-        return classify_mod.PrimeManifoldDescription.from_graph(gm)
+        return graph_from_document(doc)
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError(
             'classify input must be a graph document or carry a "kind" field'
@@ -173,16 +164,16 @@ def _description_from_document(doc) -> classify_mod.PrimeManifoldDescription:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed Seifert description: {exc}") from exc
         _expect_keys(doc, _SEIFERT_KEYS, "Seifert description")
-        return classify_mod.PrimeManifoldDescription.from_seifert(inv)
+        return inv
     if kind in (classify_mod.KIND_TORUS_BUNDLE_COVERED, classify_mod.KIND_HYPERBOLIC):
         _expect_keys(doc, _FLAG_KEYS, f"{kind} description")
-        return classify_mod.PrimeManifoldDescription(kind=kind)
+        return kind
     raise ParseError(f"unknown manifold kind {_short_repr(kind)}")
 
 
 def _run_classify(path: Path, args) -> tuple[dict, int]:
-    desc = _description_from_document(_load_document(path))
-    verdict = classify_mod.mapping_degree_finiteness(desc)
+    target = _description_from_document(_load_document(path))
+    verdict = classify_mod.mapping_degree_finiteness(target)
     return verdict.to_document(), EXIT_OK
 
 

@@ -41,8 +41,8 @@ GraphManifold keeps one for its cached incidence index.
 
 from __future__ import annotations
 
-import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -51,7 +51,7 @@ from typing import Literal, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 from .seifert import SeifertInvariants, euler_number, fill_framed_piece
-from .serialize import _int_text, canonical_json_bytes
+from .serialize import _int_text, _load_json, canonical_json_bytes
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -81,10 +81,6 @@ class Slope:
         if a < 0 or (a == 0 and b < 0):
             a, b = -a, -b
         return cls(a, b)
-
-    @property
-    def is_fiber(self) -> bool:
-        return self.a == 0
 
 
 FIBER = Slope(0, 1)
@@ -232,11 +228,9 @@ def validate(gm: GraphManifold) -> list[str]:
     # Slot ranges come from the last piece of a duplicated id, unlike the
     # incidence index, where the first one wins.
     boundary_of = {piece.id: piece.boundary for piece in gm.pieces}
-    usage: dict[tuple[str, int], int] = {}
     for index, edge in enumerate(gm.edges):
-        tail, head = edge.tail, edge.head
-        tail_id, tail_slot = tail
-        head_id, head_slot = head
+        tail_id, tail_slot = edge.tail
+        head_id, head_slot = edge.head
         boundary = boundary_of.get(tail_id)
         if boundary is None:
             violations.append(f"edge {index}: unknown piece id {tail_id!r} on tail")
@@ -244,7 +238,6 @@ def validate(gm: GraphManifold) -> list[str]:
             violations.append(
                 f"edge {index}: slot {tail_slot} out of range for piece {tail_id!r}"
             )
-        usage[tail] = usage.get(tail, 0) + 1
         boundary = boundary_of.get(head_id)
         if boundary is None:
             violations.append(f"edge {index}: unknown piece id {head_id!r} on head")
@@ -252,7 +245,6 @@ def validate(gm: GraphManifold) -> list[str]:
             violations.append(
                 f"edge {index}: slot {head_slot} out of range for piece {head_id!r}"
             )
-        usage[head] = usage.get(head, 0) + 1
         if tail_id == head_id:
             violations.append(f"edge {index}: edge joins a piece to itself")
         (a, b), (c, d) = edge.matrix.rows
@@ -268,12 +260,13 @@ def validate(gm: GraphManifold) -> list[str]:
             )
 
     # Slots are integers.  With no violation so far, every endpoint names a
-    # slot in range of its piece, so when the distinct endpoints are as many
-    # as the endpoints and as the slots, each slot is used exactly once and
-    # the per-slot scan would find nothing.
-    if violations or not len(usage) == 2 * len(gm.edges) == sum(
+    # slot in range of its piece, so when the index's distinct endpoints are
+    # as many as the endpoints and as the slots, each slot is used exactly
+    # once and the per-slot scan would find nothing.
+    if violations or not len(gm._incidence.slots) == 2 * len(gm.edges) == sum(
         piece.boundary for piece in gm.pieces
     ):
+        usage = Counter(end for edge in gm.edges for end in (edge.tail, edge.head))
         for piece in gm.pieces:
             piece_id = piece.id
             for slot in range(piece.boundary):
@@ -391,11 +384,7 @@ def parse_graph(data: bytes | str) -> GraphManifold:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"document is not UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"document is not valid JSON: {exc}") from exc
-    return _require_valid(graph_from_document(doc))
+    return _require_valid(graph_from_document(_load_json(data, "document")))
 
 
 def graph_to_document(gm: GraphManifold) -> dict:

@@ -76,20 +76,6 @@ class GeometryType(Enum):
     SL2TILDE = "sl2tilde"
 
 
-@dataclass(frozen=True)
-class TranslationClass:
-    """Conjugacy datum of an elliptic element: conjugate to the shift by alpha.
-
-    Only exact rational translation amounts are ever produced here, so the
-    value is stored as a Fraction.
-    """
-
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-
-
 def euler_number(inv: SeifertInvariants) -> Fraction:
     """Euler number of the Seifert fibration, sum of beta_i/alpha_i."""
     num, den = 0, 1
@@ -159,16 +145,14 @@ def min_genus_for_ehn(exceptional: Iterable[tuple[int, int]]) -> int:
     return max(1, need_floor, need_ceil)
 
 
-def commutator_realizable(
-    alphas: Sequence[TranslationClass | Fraction | int], genus: int
-) -> bool:
+def commutator_realizable(alphas: Sequence[Fraction | int], genus: int) -> bool:
     """Can the product of shifts by the given amounts be a product of g commutators?
 
     The criterion is strict: |alpha_1 + ... + alpha_s| < 2g - 1.
     """
     if genus < 1:
         raise GenusZeroUnsupported("commutator realizability requires genus >= 1")
-    values = [a.value if isinstance(a, TranslationClass) else Fraction(a) for a in alphas]
+    values = [Fraction(a) for a in alphas]
     if not values:
         raise EmptyInput("commutator realizability needs at least one translation class")
     return abs(sum(values, Fraction(0))) < 2 * genus - 1

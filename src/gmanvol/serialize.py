@@ -1,9 +1,11 @@
-"""Canonical JSON rendering and exact-rational formatting.
+"""Canonical JSON rendering and loading, and exact-rational formatting.
 
 Every document emitted by this package goes through canonical_json_bytes so
 that identical data always serializes to identical bytes: UTF-8, keys
-sorted, no incidental whitespace.  Rational values travel as "p" or "p/q"
-strings; they are never converted to floating point.
+sorted, no incidental whitespace.  Every JSON text read by this package
+goes through _load_json, so each decoding failure is a ParseError.
+Rational values travel as "p" or "p/q" strings; they are never converted
+to floating point.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import RationalTooLong
+from .errors import ParseError, RationalTooLong
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -43,6 +45,24 @@ def _int_text(value: int) -> str:
         return str(value)
     except ValueError:
         return f"an integer of more than {sys.get_int_max_str_digits()} digits"
+
+
+def _load_json(text: str, name: str):
+    """The value of a JSON text, with every decoding failure a ParseError.
+
+    The message names the input as name.  Besides invalid JSON, this covers
+    an integer literal beyond the interpreter's digit limit and nesting too
+    deep for the decoder.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{name} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # An integer literal beyond the interpreter's digit limit.
+        raise ParseError(f"{name} has an integer that is too long: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{name} is nested too deeply: {exc}") from exc
 
 
 def canonical_json_bytes(document, pretty: bool = False) -> bytes:

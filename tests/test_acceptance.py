@@ -14,7 +14,6 @@ from gmanvol import (
     J,
     MINUS_J,
     PMJFormRequired,
-    PrimeManifoldDescription,
     SeifertInvariants,
     canonical_framing,
     characteristic_cover,
@@ -30,6 +29,7 @@ from gmanvol import (
     verify_covering_certificate,
     volume_lower_bound,
 )
+from gmanvol.classify import KIND_TORUS_BUNDLE_COVERED
 from gmanvol.serialize import canonical_json_bytes
 from builders import random_cycle_graph, random_valid_graph, two_piece_graph
 
@@ -209,10 +209,10 @@ def test_criterion_7_classifier_table(corpus_paths):
             failures.append((geom, got))
     for path in corpus_paths:
         gm = parse_graph(path.read_bytes())
-        verdict = mapping_degree_finiteness(PrimeManifoldDescription.from_graph(gm))
+        verdict = mapping_degree_finiteness(gm)
         if verdict.verdict != "finite":
             failures.append((path.name, verdict))
-    torus = mapping_degree_finiteness(PrimeManifoldDescription.torus_bundle_covered())
+    torus = mapping_degree_finiteness(KIND_TORUS_BUNDLE_COVERED)
     if torus.verdict != "infinite":
         failures.append(("torus bundle flag", torus))
     report(7, "classifier matches the finiteness table", failures)

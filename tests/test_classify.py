@@ -4,13 +4,13 @@ from gmanvol import (
     BundlePiece,
     GeometryType,
     GraphManifold,
-    PrimeManifoldDescription,
     SeifertInvariants,
     ValidationError,
     geometry_finiteness,
     mapping_degree_finiteness,
     parse_graph,
 )
+from gmanvol.classify import KIND_HYPERBOLIC, KIND_TORUS_BUNDLE_COVERED
 
 
 class TestGeometryFiniteness:
@@ -36,34 +36,28 @@ class TestGeometryFiniteness:
 class TestMappingDegreeFiniteness:
     def test_seifert_sl2tilde(self):
         inv = SeifertInvariants(0, ((2, 1), (3, 1), (7, 1)))
-        verdict = mapping_degree_finiteness(PrimeManifoldDescription.from_seifert(inv))
+        verdict = mapping_degree_finiteness(inv)
         assert verdict.verdict == "finite"
         assert verdict.reason == "positive-seifert-volume"
 
     def test_seifert_product_geometry(self):
-        verdict = mapping_degree_finiteness(
-            PrimeManifoldDescription.from_seifert(SeifertInvariants(2))
-        )
+        verdict = mapping_degree_finiteness(SeifertInvariants(2))
         assert verdict.verdict == "infinite"
 
     def test_torus_bundle_flag(self):
-        verdict = mapping_degree_finiteness(
-            PrimeManifoldDescription.torus_bundle_covered()
-        )
+        verdict = mapping_degree_finiteness(KIND_TORUS_BUNDLE_COVERED)
         assert verdict.verdict == "infinite"
         assert verdict.reason == "finitely-covered-by-torus-bundle"
 
     def test_hyperbolic_flag(self):
-        verdict = mapping_degree_finiteness(PrimeManifoldDescription.hyperbolic())
+        verdict = mapping_degree_finiteness(KIND_HYPERBOLIC)
         assert verdict.verdict == "finite"
         assert verdict.reason == "positive-simplicial-volume"
 
     def test_graph_corpus_is_finite(self, corpus_paths):
         for path in corpus_paths:
             gm = parse_graph(path.read_bytes())
-            verdict = mapping_degree_finiteness(
-                PrimeManifoldDescription.from_graph(gm)
-            )
+            verdict = mapping_degree_finiteness(gm)
             assert verdict.verdict == "finite"
             assert verdict.reason
 
@@ -75,16 +69,15 @@ class TestMappingDegreeFiniteness:
             (Edge(("A", 0), ("B", 0), J),),
         )
         with pytest.raises(ValidationError):
-            mapping_degree_finiteness(PrimeManifoldDescription.from_graph(gm))
+            mapping_degree_finiteness(gm)
 
-    def test_kind_payload_consistency(self):
-        with pytest.raises(ValueError):
-            PrimeManifoldDescription(kind="seifert")
-        with pytest.raises(ValueError):
-            PrimeManifoldDescription(kind="nonsense")
+    @pytest.mark.parametrize("target", ["nonsense", "seifert", None])
+    def test_unknown_target_rejected(self, target):
+        with pytest.raises(ValueError, match="unknown target"):
+            mapping_degree_finiteness(target)
 
     def test_verdict_document(self):
-        verdict = mapping_degree_finiteness(PrimeManifoldDescription.hyperbolic())
+        verdict = mapping_degree_finiteness(KIND_HYPERBOLIC)
         assert verdict.to_document() == {
             "verdict": "finite",
             "reason": "positive-simplicial-volume",

@@ -335,6 +335,17 @@ class TestParseSerialize:
         with pytest.raises(ParseError):
             parse_graph(b"{not json")
 
+    def test_deep_nesting(self):
+        with pytest.raises(ParseError, match="^document is nested too deeply: "):
+            parse_graph("[" * 100_000)
+
+    def test_integer_beyond_digit_limit(self):
+        data = '{"pieces": [{"id": "A", "genus": ' + "9" * 5000 + ', "boundary": 1}]}'
+        with pytest.raises(
+            ParseError, match="^document has an integer that is too long: "
+        ):
+            parse_graph(data)
+
     def test_malformed_shape(self):
         with pytest.raises(ParseError):
             parse_graph(json.dumps({"pieces": [], "edges": [], "extra": 1}))

@@ -12,7 +12,6 @@ from gmanvol import (
     GenusZeroUnsupported,
     GeometryType,
     SeifertInvariants,
-    TranslationClass,
     commutator_realizable,
     ehn_horizontal_foliation,
     euler_number,
@@ -165,7 +164,7 @@ class TestCommutatorRealizable:
         assert commutator_realizable([5, -5], 1) is True
 
     def test_translation_class_wrapper(self):
-        assert commutator_realizable([TranslationClass(Fraction(3, 2))], 2) is True
+        assert commutator_realizable([Fraction(3, 2)], 2) is True
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
