@@ -24,8 +24,8 @@ print("carries a flat connection with Chern-Simons value 2 pi^2 e, and the")
 print("representation volume (Godbillon-Vey) is twice that.")
 inv = SeifertInvariants(6, ((1, -1), (1, -1)))
 cs = cs_of_filled_piece(inv)
-print(f"  example: e = -2 gives cs = {cs.coefficient} pi^2,",
-      f"GV = {gv_of_certified_connection(cs).coefficient} pi^2")
+print(f"  example: e = -2 gives cs = {cs} pi^2,",
+      f"GV = {gv_of_certified_connection(cs)} pi^2")
 print()
 
 generic = GraphManifold(
@@ -35,9 +35,10 @@ generic = GraphManifold(
 print("Case |e| != 0.  The single generic edge gives |e| =",
       absolute_euler_number(generic))
 cert = volume_lower_bound(generic)
-print(f"  chosen piece {cert.chosen_piece},",
-      f"bound {cert.bound.coefficient} pi^2,",
-      f"cover degree {cert.total_cover_degree}")
+doc = cert.to_document()
+print(f"  chosen piece {doc['chosen']['piece']},",
+      f"bound {cert.bound} pi^2,",
+      f"cover degree {doc['cover_degree']}")
 print()
 
 swap5 = GraphManifold(
@@ -46,12 +47,12 @@ swap5 = GraphManifold(
 )
 print("Case |e| = 0 in swap form.  Five parallel tori between two pieces:")
 cert5 = volume_lower_bound(swap5)
-print(f"  bound {cert5.bound.coefficient} pi^2 (= 8 r at r = 5)")
-print(f"  tower: characteristic cover at prime",
-      cert5.tower[0].certificate.characteristic_level,
-      f"of degree {cert5.total_cover_degree};",
+doc5 = cert5.to_document()
+print(f"  bound {cert5.bound} pi^2 (= 8 r at r = {cert5.plan.r})")
+print(f"  tower: characteristic cover at prime", cert5.plan.q,
+      f"of degree {doc5['cover_degree']};",
       "covered genus", cert5.covered_manifold.piece("A").genus)
 print()
 
 print("The full machine-checkable certificate for the five-torus example:")
-print(json.dumps(cert5.to_document(), sort_keys=True, indent=2))
+print(json.dumps(doc5, sort_keys=True, indent=2))

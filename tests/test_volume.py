@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import json
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,6 @@ from gmanvol import (
     BundlePiece,
     Edge,
     GraphManifold,
-    PiSquaredValue,
     PMJFormRequired,
     SeifertInvariants,
     Slope,
@@ -38,6 +39,12 @@ import gmanvol.cli
 import gmanvol.errors
 import gmanvol.graph
 import gmanvol.volume
+from gmanvol.coverings import (
+    CoveredGraph,
+    certificate_to_document,
+    characteristic_cover,
+    next_prime_above,
+)
 from gmanvol.graph import _require_valid
 from gmanvol.serialize import canonical_json_bytes, format_rational
 from gmanvol.volume import (
@@ -45,7 +52,6 @@ from gmanvol.volume import (
     CASE_ZERO_PMJ,
     SHARED_FILLING_SLOPE,
     _commutator_side_conditions,
-    _tower_for,
 )
 from builders import random_valid_graph, two_piece_graph
 
@@ -55,12 +61,7 @@ M1110 = GluingMatrix.of(1, 1, 1, 0)
 def recheck_foliation_at_tower_stage(cert):
     """Re-derive the foliation precondition on the final covered manifold."""
     final = cert.covered_manifold
-    by_piece = {}
-    for key, slope in cert.filling_slopes.items():
-        pid, slot = key.rsplit(":", 1)
-        by_piece.setdefault(pid, {})[int(slot)] = slope
-    for pid, slots in by_piece.items():
-        slopes = [slots[i] for i in range(len(slots))]
+    for pid, slopes in cert.plan.fillings.items():
         assert ehn_horizontal_foliation(filled_piece_invariants(final, pid, slopes))
 
 
@@ -77,45 +78,45 @@ def filled_euler_pair(cert):
     """The pair's filled Euler numbers and r, as a swap-form certificate records them."""
     (condition,) = (c for c in cert.side_conditions if c["type"] == "orientation-convention")
     e1, e2 = condition["filled_euler"]
-    return Fraction(e1), Fraction(e2), cert.parallel_tori
+    return Fraction(e1), Fraction(e2), cert.plan.r
 
 
 class TestClosedFormValues:
     def test_cs_negative(self):
         inv = SeifertInvariants(6, ((1, -1), (1, -1)))
-        assert cs_of_filled_piece(inv).coefficient == -4
+        assert cs_of_filled_piece(inv) == -4
 
     def test_cs_zero(self):
         inv = SeifertInvariants(2, ((1, 0), (1, 0)))
-        assert cs_of_filled_piece(inv).coefficient == 0
+        assert cs_of_filled_piece(inv) == 0
 
     def test_cs_positive(self):
         inv = SeifertInvariants(3, ((1, 3),))
-        assert cs_of_filled_piece(inv).coefficient == 6
+        assert cs_of_filled_piece(inv) == 6
 
     def test_cs_requires_foliation(self):
         with pytest.raises(EhnFails):
             cs_of_filled_piece(SeifertInvariants(2, ((1, 3),)))
 
     def test_gv_doubles(self):
-        assert gv_of_certified_connection(PiSquaredValue(Fraction(2))).coefficient == 4
-        assert gv_of_certified_connection(PiSquaredValue(Fraction(0))).coefficient == 0
-        assert gv_of_certified_connection(PiSquaredValue(Fraction(-4))).coefficient == -8
+        assert gv_of_certified_connection(Fraction(2)) == 4
+        assert gv_of_certified_connection(Fraction(0)) == 0
+        assert gv_of_certified_connection(Fraction(-4)) == -8
 
 
 class TestCase1:
     def test_two_parallel_generic_edges(self):
         gm = two_piece_graph([M1110, M1110])
         cert = volume_lower_bound(gm)
-        assert cert.chosen_piece == "A"
-        assert cert.bound.coefficient == 8
-        assert cert.total_cover_degree == 1 and cert.tower == ()
+        assert list(cert.plan.fillings) == ["A"] and cert.plan.r is None
+        assert cert.bound == 8
+        assert cert.to_document()["cover_degree"] == 1 and cert.tower == ()
         recheck_foliation_at_tower_stage(cert)
 
     def test_mixed_pair_of_edges(self):
         gm = two_piece_graph([M1110, J])
         cert = volume_lower_bound(gm)
-        assert cert.bound.coefficient == 4
+        assert cert.bound == 4
         recheck_foliation_at_tower_stage(cert)
 
     def test_tower_emitted_when_needed(self):
@@ -125,9 +126,9 @@ class TestCase1:
         gm = two_piece_graph([m, m])
         assert canonical_framing(gm, "A") == [Slope(1, -5), Slope(1, -5)]
         cert = volume_lower_bound(gm)
-        assert cert.chosen_piece == "A"
-        assert cert.bound.coefficient == 40
-        assert cert.total_cover_degree == 9
+        assert list(cert.plan.fillings) == ["A"] and cert.plan.r is None
+        assert cert.bound == 40
+        assert cert.to_document()["cover_degree"] == 9
         assert cert.tower[0].certificate.characteristic_level == 3
         assert cert.covered_manifold.piece("A").genus == 6
         recheck_foliation_at_tower_stage(cert)
@@ -138,9 +139,8 @@ class TestCase1:
         gm = two_piece_graph([m, m])
         cert = volume_lower_bound(gm)
         final = cert.covered_manifold
-        slopes = [cert.filling_slopes[f"A:{i}"] for i in range(2)]
-        up = euler_number(filled_piece_invariants(final, "A", slopes))
-        assert cert.bound.coefficient == 4 * abs(up)
+        up = euler_number(filled_piece_invariants(final, "A", cert.plan.fillings["A"]))
+        assert cert.bound == 4 * abs(up)
 
     def test_side_conditions_structure(self):
         gm = two_piece_graph([M1110])
@@ -175,16 +175,16 @@ class TestCase2Pair:
 class TestCase2Bound:
     def test_single_swap(self):
         cert = volume_lower_bound(two_piece_graph([J]))
-        assert cert.bound.coefficient == 8
-        assert cert.parallel_tori == 1
-        assert cert.total_cover_degree == 1
+        assert cert.bound == 8
+        assert cert.plan.r == 1
+        assert cert.to_document()["cover_degree"] == 1
         recheck_foliation_at_tower_stage(cert)
 
     def test_five_parallel_swaps(self):
         gm = two_piece_graph([J] * 5)
         cert = volume_lower_bound(gm)
-        assert cert.bound.coefficient == 40
-        assert cert.total_cover_degree == 49
+        assert cert.bound == 40
+        assert cert.to_document()["cover_degree"] == 49
         assert cert.tower[0].certificate.characteristic_level == 7
         assert cert.covered_manifold.piece("A").genus == 23
         recheck_foliation_at_tower_stage(cert)
@@ -216,21 +216,21 @@ class TestCase2Bound:
             ),
         )
         cert = volume_lower_bound(gm)
-        assert cert.chosen_pair == ("B", "C")
-        assert cert.parallel_tori == 2
-        assert cert.bound.coefficient == 16
+        assert tuple(cert.plan.fillings) == ("B", "C")
+        assert cert.plan.r == 2
+        assert cert.bound == 16
 
 
 class TestDriver:
     def test_swap_graph_goes_to_case2(self):
         cert = volume_lower_bound(two_piece_graph([J]))
-        assert cert.case_tag == "e_zero_pmj"
-        assert cert.bound.coefficient == 8
+        assert cert.to_document()["case"] == "e_zero_pmj"
+        assert cert.bound == 8
 
     def test_generic_edge_goes_to_case1(self):
         cert = volume_lower_bound(two_piece_graph([M1110]))
-        assert cert.case_tag == "e_nonzero"
-        assert cert.bound.coefficient == 4
+        assert cert.to_document()["case"] == "e_nonzero"
+        assert cert.bound == 4
 
     def test_invalid_graph_rejected(self):
         gm = two_piece_graph([J], genus_a=1)
@@ -249,7 +249,7 @@ class TestDriver:
             except BoundaryCountTooSmall:
                 outcomes["boundary"] += 1
             else:
-                assert cert.bound.coefficient > 0
+                assert cert.bound > 0
                 outcomes["bound"] += 1
         assert outcomes["bound"] > 0
 
@@ -287,6 +287,11 @@ class TestVolumeConfig:
             assert VolumeConfig(alpha_bound=bound).alpha_bound == bound
         assert VolumeConfig().alpha_bound == 10**6
 
+    def test_non_int_alpha_bound_rejected(self):
+        for bound in (2.5, 3.0, Fraction(3), "3", None, True, False):
+            with pytest.raises(TypeError, match="^alpha_bound must be an int, got "):
+                VolumeConfig(alpha_bound=bound)
+
     def test_certificate_with_zero_bound(self):
         cert = volume_lower_bound(two_piece_graph([M1110]), VolumeConfig(alpha_bound=0))
         neighbor = cert.to_document()["side_conditions"][0]
@@ -315,7 +320,7 @@ class TestOnePass:
             for seed in range(12):
                 gm = random_valid_graph(random.Random(seed), style=style)
                 try:
-                    case = volume_lower_bound(gm).case_tag
+                    case = volume_lower_bound(gm).to_document()["case"]
                 except (PMJFormRequired, BoundaryCountTooSmall):
                     continue
                 yield case, gm
@@ -348,7 +353,75 @@ class TestOnePass:
 
 # The certificate builders as they stood before both cases shared one path,
 # kept verbatim apart from the ref_ names; ref_volume_lower_bound is the
-# reference the one path is compared against.
+# reference the one path is compared against.  The tower helper, the pi^2
+# box and the ten-field certificate they build are frozen here too, as they
+# stood before the plan became one value; the live cs and gv functions,
+# which now return bare Fractions, are boxed at their call sites.
+
+
+@dataclass(frozen=True)
+class PiSquaredValue:
+    """An exact rational multiple of pi^2."""
+
+    coefficient: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
+
+
+@dataclass(frozen=True)
+class RefVolumeCertificate:
+    """A checkable lower bound on the Seifert volume of an explicit cover.
+
+    The asserted statement is SV(cover) >= bound, where the cover is the
+    result of applying the covering tower (left to right) to the input and
+    has degree total_cover_degree over it.
+    """
+
+    case_tag: str
+    tower: tuple[CoveredGraph, ...]
+    total_cover_degree: int
+    chosen_piece: str | None
+    chosen_pair: tuple[str, str] | None
+    parallel_tori: int | None
+    filling_slopes: dict[str, Slope]
+    bound: PiSquaredValue
+    side_conditions: tuple[dict, ...]
+    covered_manifold: GraphManifold = field(repr=False)
+
+    def to_document(self) -> dict:
+        if self.case_tag == CASE_NONZERO:
+            chosen = {"piece": self.chosen_piece}
+        else:
+            chosen = {"pieces": list(self.chosen_pair), "r": self.parallel_tori}
+        return {
+            "case": self.case_tag,
+            "cover_degree": self.total_cover_degree,
+            "tower": [certificate_to_document(stage.certificate) for stage in self.tower],
+            "chosen": chosen,
+            "filling_slopes": {
+                key: [slope.a, slope.b]
+                for key, slope in sorted(self.filling_slopes.items())
+            },
+            "bound_pi2": format_rational(self.bound.coefficient),
+            "side_conditions": list(self.side_conditions),
+        }
+
+
+def ref_tower_for(gm: GraphManifold, q_needed: int) -> tuple[tuple[CoveredGraph, ...], GraphManifold, int]:
+    """Build the characteristic tower reaching the required prime, if any.
+
+    The constructor needs a prime above every boundary count in the whole
+    graph, so the prime used is the smallest one that is at least q_needed
+    and above every boundary count (the foliation test only gets easier as
+    the covered genus grows).
+    """
+    if q_needed == 1:
+        return (), gm, 1
+    max_boundary = max(piece.boundary for piece in gm.pieces)
+    q = next_prime_above(max(q_needed - 1, max_boundary))
+    stage = characteristic_cover(gm, q)
+    return (stage,), stage.manifold, stage.certificate.total_degree
 
 
 class NotAdjacent(GmanvolError):
@@ -367,15 +440,15 @@ def ref_filled_euler_table(gm: GraphManifold) -> dict[str, Fraction]:
 
 def ref_case1_bound(
     gm: GraphManifold, filled_euler: dict[str, Fraction], config: VolumeConfig
-) -> VolumeCertificate:
+) -> RefVolumeCertificate:
     chosen = min(filled_euler, key=lambda pid: (-abs(filled_euler[pid]), pid))
     slopes = canonical_framing(gm, chosen)
 
     q_needed = min_prime_for_ehn_cover(gm, chosen, slopes)
-    tower, covered, degree = _tower_for(gm, q_needed)
-    cs = cs_of_filled_piece(filled_piece_invariants(covered, chosen, slopes))
+    tower, covered, degree = ref_tower_for(gm, q_needed)
+    cs = PiSquaredValue(cs_of_filled_piece(filled_piece_invariants(covered, chosen, slopes)))
     side_conditions = _commutator_side_conditions(gm, (chosen,), config)
-    return VolumeCertificate(
+    return RefVolumeCertificate(
         case_tag=CASE_NONZERO,
         tower=tower,
         total_cover_degree=degree,
@@ -385,7 +458,7 @@ def ref_case1_bound(
         filling_slopes={
             f"{chosen}:{slot}": slope for slot, slope in enumerate(slopes)
         },
-        bound=gv_of_certified_connection(PiSquaredValue(abs(cs.coefficient))),
+        bound=PiSquaredValue(gv_of_certified_connection(abs(cs.coefficient))),
         side_conditions=tuple(side_conditions),
         covered_manifold=covered,
     )
@@ -422,7 +495,7 @@ def ref_case2_filling_slopes(
     return slopes[piece1], slopes[piece2], r
 
 
-def ref_case2_bound(gm: GraphManifold, config: VolumeConfig) -> VolumeCertificate:
+def ref_case2_bound(gm: GraphManifold, config: VolumeConfig) -> RefVolumeCertificate:
     if not is_pm_j_form(gm):
         raise PMJFormRequired(
             "absolute Euler number is zero but the gluing matrices are not all "
@@ -442,9 +515,9 @@ def ref_case2_bound(gm: GraphManifold, config: VolumeConfig) -> VolumeCertificat
         min_prime_for_ehn_cover(gm, piece1, slopes1),
         min_prime_for_ehn_cover(gm, piece2, slopes2),
     )
-    tower, covered, degree = _tower_for(gm, q_needed)
-    cs1 = cs_of_filled_piece(filled_piece_invariants(covered, piece1, slopes1))
-    cs2 = cs_of_filled_piece(filled_piece_invariants(covered, piece2, slopes2))
+    tower, covered, degree = ref_tower_for(gm, q_needed)
+    cs1 = PiSquaredValue(cs_of_filled_piece(filled_piece_invariants(covered, piece1, slopes1)))
+    cs2 = PiSquaredValue(cs_of_filled_piece(filled_piece_invariants(covered, piece2, slopes2)))
     cs_magnitude = PiSquaredValue(abs(cs1.coefficient) + abs(cs2.coefficient))
     if cs_magnitude.coefficient != 4 * r:
         raise AssertionError("combined Chern-Simons magnitude must equal 4r")
@@ -475,7 +548,7 @@ def ref_case2_bound(gm: GraphManifold, config: VolumeConfig) -> VolumeCertificat
 
     filling = {f"{piece1}:{slot}": s for slot, s in enumerate(slopes1)}
     filling.update({f"{piece2}:{slot}": s for slot, s in enumerate(slopes2)})
-    return VolumeCertificate(
+    return RefVolumeCertificate(
         case_tag=CASE_ZERO_PMJ,
         tower=tower,
         total_cover_degree=degree,
@@ -483,7 +556,7 @@ def ref_case2_bound(gm: GraphManifold, config: VolumeConfig) -> VolumeCertificat
         chosen_pair=(piece1, piece2),
         parallel_tori=r,
         filling_slopes=filling,
-        bound=gv_of_certified_connection(cs_magnitude),
+        bound=PiSquaredValue(gv_of_certified_connection(cs_magnitude.coefficient)),
         side_conditions=tuple(side_conditions),
         covered_manifold=covered,
     )
@@ -491,7 +564,7 @@ def ref_case2_bound(gm: GraphManifold, config: VolumeConfig) -> VolumeCertificat
 
 def ref_volume_lower_bound(
     gm: GraphManifold, config: VolumeConfig | None = None
-) -> VolumeCertificate:
+) -> RefVolumeCertificate:
     """Emit a positive Seifert-volume lower bound for a finite cover of gm."""
     _require_valid(gm)
     filled_euler = ref_filled_euler_table(gm)
@@ -572,4 +645,14 @@ class TestOnePath:
         for name in ("WrongCase", "NotPMJ", "NotAdjacent"):
             assert not hasattr(gmanvol.errors, name)
             assert not hasattr(gmanvol, name)
+        assert not hasattr(gmanvol.volume, "PiSquaredValue")
+        assert not hasattr(gmanvol, "PiSquaredValue")
+        for name in ("_tower_for", "_swap_pair_plan"):
+            assert not hasattr(gmanvol.volume, name)
+        fields = {f.name for f in dataclasses.fields(VolumeCertificate)}
+        for name in (
+            "case_tag", "chosen_piece", "chosen_pair", "parallel_tori",
+            "filling_slopes", "total_cover_degree",
+        ):
+            assert name not in fields
 
