@@ -4,9 +4,9 @@ Each layer runs on a cycle of n and of 4n pieces, and the test counts the
 bytecode instructions it executes with sys.settrace and f_trace_opcodes.
 Linear work gives a ratio near 4; the gate is 4.4, while a quadratic layer
 reads near 16.  The count does not depend on the speed or load of the
-machine.  Loops inside C are not counted: `in` on a list, sorting, or a
-comprehension's C-level helpers cost one instruction however long they run,
-so a quadratic scan hidden in such a call passes this gate.
+machine.  Loops inside C are not counted: `in` on a list, `sorted`, `sum`
+or `str.join` cost one instruction however long they run, so a quadratic
+scan hidden in such a call passes this gate.
 
 The matrices and genera repeat with period 4, so every size has the same
 pieces in the same proportions, and the same choice of plan and tower.
@@ -40,8 +40,8 @@ def periodic_cycle(n: int):
     return cycle_graph([matrices[i % 4] for i in range(n)], [genera[i % 4] for i in range(n)])
 
 
-def executed_opcodes(call) -> int:
-    """Bytecode instructions executed in Python frames during call()."""
+def counted(function, *args):
+    """function(*args), and the bytecode instructions it executed in Python frames."""
     count = 0
 
     def local(frame, event, arg):
@@ -57,46 +57,31 @@ def executed_opcodes(call) -> int:
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        call()
+        result = function(*args)
     finally:
         sys.settrace(previous)
-    return count
+    return result, count
 
 
 def layer_counts(n: int) -> dict[str, int]:
-    doc = graph_to_document(periodic_cycle(n))
-    gm = None
-    cover = None
+    counts = {}
 
-    def decode():
-        nonlocal gm
-        gm = graph_from_document(doc)
+    def run(function, *args):
+        result, counts[function.__name__] = counted(function, *args)
+        return result
 
-    counts = {"graph_from_document": executed_opcodes(decode)}
-    counts["validate"] = executed_opcodes(lambda: validate(gm))
-    cert = volume_lower_bound(gm)
-    assert cert.plan.q > 1, "the input must need a tower at every size"
-    counts["volume_lower_bound"] = executed_opcodes(lambda: volume_lower_bound(gm))
-    counts["characteristic_cover"] = executed_opcodes(lambda: characteristic_cover(gm, Q))
-
-    def raise_genus():
-        nonlocal cover
-        cover = genus_raising_cover(gm, "P0", Q)
-
-    counts["genus_raising_cover"] = executed_opcodes(raise_genus)
-    counts["verify_covering_certificate"] = executed_opcodes(
-        lambda: verify_covering_certificate(cover, gm)
-    )
-    cover_doc = covered_graph_to_document(cover)
-    counts["covered_graph_from_document"] = executed_opcodes(
-        lambda: covered_graph_from_document(cover_doc)
-    )
+    gm = run(graph_from_document, graph_to_document(periodic_cycle(n)))
+    run(validate, gm)
+    assert run(volume_lower_bound, gm).plan.q > 1, "every size must need a tower"
+    run(characteristic_cover, gm, Q)
+    cover = run(genus_raising_cover, gm, "P0", Q)
+    run(verify_covering_certificate, cover, gm)
+    run(covered_graph_from_document, covered_graph_to_document(cover))
     return counts
 
 
 def test_every_layer_is_linear():
     small, large = (layer_counts(n) for n in SIZES)
-    ratios = {layer: large[layer] / small[layer] for layer in small}
-    assert all(count > 0 for count in small.values()), small
-    too_steep = {layer: round(ratio, 2) for layer, ratio in ratios.items() if ratio > MAX_RATIO}
-    assert too_steep == {}
+    assert len(small) == 7 and all(small.values()), small
+    ratios = {layer: round(large[layer] / small[layer], 2) for layer in small}
+    assert {layer: ratio for layer, ratio in ratios.items() if ratio > MAX_RATIO} == {}

@@ -103,6 +103,11 @@ class TestClosedFormValues:
         assert gv_of_certified_connection(Fraction(0)) == 0
         assert gv_of_certified_connection(Fraction(-4)) == -8
 
+    def test_values_are_fraction_coefficients(self):
+        assert type(cs_of_filled_piece(SeifertInvariants(3, ((1, 3),)))) is Fraction
+        assert type(gv_of_certified_connection(3)) is Fraction
+        assert type(volume_lower_bound(two_piece_graph([J])).bound) is Fraction
+
 
 class TestCase1:
     def test_two_parallel_generic_edges(self):
