@@ -27,14 +27,13 @@ from .errors import GmanvolError, ParseError, ValidationError
 from .graph import (
     _expect_int,
     _expect_keys,
+    _filled_piece_table,
     _require_valid,
     _short_repr,
-    canonical_framing,
-    filled_piece_invariants,
     graph_from_document,
     validate,
 )
-from .seifert import SeifertInvariants, _geometry, euler_number, orbifold_euler_char
+from .seifert import SeifertInvariants, _geometry, orbifold_euler_char
 from .serialize import _load_json, canonical_json_bytes, format_rational
 from .volume import VolumeConfig, volume_lower_bound
 
@@ -98,12 +97,11 @@ def _run_validate(path: Path, args) -> tuple[dict | list, int]:
 
 def _run_invariants(path: Path, args) -> tuple[dict, int]:
     gm = _require_valid(graph_from_document(_load_document(path)))
+    table = _filled_piece_table(gm)
     pieces = {}
     absolute = Fraction(0)
     for piece in gm.pieces:
-        framing = canonical_framing(gm, piece.id)
-        filled = filled_piece_invariants(gm, piece.id, framing)
-        e = euler_number(filled)
+        framing, filled, e = table[piece.id]
         chi = orbifold_euler_char(filled)
         absolute += abs(e)
         pieces[piece.id] = {

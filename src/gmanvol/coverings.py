@@ -217,7 +217,7 @@ def characteristic_cover(gm: GraphManifold, q: int) -> CoveredGraph:
             f"pieces {small} have a single boundary torus; apply a "
             "genus-raising cover first to multiply boundary tori"
         )
-    return _build_cover(gm, q, {p.id for p in gm.pieces}, q, "product-epimorphism")
+    return _build_cover(gm, q, {p.id for p in gm.pieces}, q)
 
 
 def genus_raising_cover(gm: GraphManifold, center: str, q: int) -> CoveredGraph:
@@ -228,12 +228,10 @@ def genus_raising_cover(gm: GraphManifold, center: str, q: int) -> CoveredGraph:
         gm.piece(center)
     except KeyError:
         raise GmanvolError(f"unknown center piece {center!r}") from None
-    return _build_cover(gm, q, set(gm.adjacent_pieces(center)), 1, "fiber-degree-one")
+    return _build_cover(gm, q, set(gm.adjacent_pieces(center)), 1)
 
 
-def _build_cover(
-    gm: GraphManifold, q: int, unwrapped: set[str], level: int, separable_case: str
-) -> CoveredGraph:
+def _build_cover(gm: GraphManifold, q: int, unwrapped: set[str], level: int) -> CoveredGraph:
     """The cover of one plan: unwrap these pieces at level, replicate the rest.
 
     With L = 1 lift per torus the base edges are the cover edges, so the
@@ -271,7 +269,7 @@ def _build_cover(
         characteristic_level=level,
         per_piece=records,
         separable=True,
-        separable_case=separable_case,
+        separable_case="product-epimorphism" if level == q else "fiber-degree-one",
     )
     if lifts == 1:
         return CoveredGraph(
@@ -279,7 +277,7 @@ def _build_cover(
             certificate=certificate,
             torus_map=tuple(range(len(gm.edges))),
         )
-    if len(records) != len(pieces) or len({p.id for p in pieces}) != len(pieces):
+    if len(records) != len(pieces):
         raise GmanvolError("piece id collision while labeling covering copies")
 
     def lift_end(end: tuple[str, int], k: int) -> tuple[str, int]:
@@ -416,11 +414,12 @@ def min_prime_for_ehn_cover(
 
     Returns the sentinel 1 when the horizontal foliation test already
     passes downstairs (no cover needed).  Otherwise returns the smallest
-    prime q > boundary count p of the piece whose covered genus reaches the
-    genus G at which the foliation test first passes.  The covered filled
-    piece keeps the same filling slopes, the test is monotone in the genus,
-    and Riemann-Hurwitz gives the covered genus g + (2g + p - 2)(q - 1)/2,
-    so q must be at least 1 + ceil(2(G - g) / (2g + p - 2)).
+    prime q above every boundary count of gm, so characteristic_cover
+    accepts it, whose covered genus reaches the genus G at which the
+    foliation test first passes.  The covered filled piece keeps the same
+    filling slopes, the test is monotone in the genus, and Riemann-Hurwitz
+    gives the covered genus g + (2g + p - 2)(q - 1)/2 for a piece with p
+    boundary tori, so q must be at least 1 + ceil(2(G - g) / (2g + p - 2)).
     """
     piece = gm.piece(piece_id)
     downstairs = filled_piece_invariants(gm, piece_id, slopes)
@@ -434,7 +433,7 @@ def min_prime_for_ehn_cover(
     needed_genus = min_genus_for_ehn(downstairs.exceptional)
     step = 2 * piece.genus + piece.boundary - 2
     q_min = 1 - (-2 * (needed_genus - piece.genus) // step)
-    return next_prime_above(max(piece.boundary, q_min - 1))
+    return next_prime_above(max(q_min - 1, max(p.boundary for p in gm.pieces)))
 
 
 def certificate_to_document(cert: CoveringCertificate) -> dict:

@@ -448,19 +448,25 @@ def filled_piece_invariants(
     return fill_framed_piece(piece.genus, slopes)
 
 
-def _filled_euler_table(gm: GraphManifold) -> dict[str, Fraction]:
-    """Piece id -> Euler number of the piece filled along its canonical framing."""
-    return {
-        piece.id: euler_number(
-            filled_piece_invariants(gm, piece.id, canonical_framing(gm, piece.id))
-        )
-        for piece in gm.pieces
-    }
+class _FilledPiece(NamedTuple):
+    framing: tuple[Slope, ...]
+    invariants: SeifertInvariants
+    euler: Fraction
+
+
+def _filled_piece_table(gm: GraphManifold) -> dict[str, _FilledPiece]:
+    """Piece id -> its canonical framing, the piece filled along it, its Euler number."""
+    table = {}
+    for piece in gm.pieces:
+        framing = tuple(canonical_framing(gm, piece.id))
+        filled = filled_piece_invariants(gm, piece.id, framing)
+        table[piece.id] = _FilledPiece(framing, filled, euler_number(filled))
+    return table
 
 
 def absolute_euler_number(gm: GraphManifold) -> Fraction:
     """Sum over pieces of |e| of the piece filled along its canonical framing."""
-    return sum(map(abs, _filled_euler_table(gm).values()), Fraction(0))
+    return sum((abs(row.euler) for row in _filled_piece_table(gm).values()), Fraction(0))
 
 
 def is_pm_j_form(gm: GraphManifold) -> bool:

@@ -124,9 +124,7 @@ def ehn_horizontal_foliation(inv: SeifertInvariants) -> bool:
     """
     if inv.genus < 1:
         raise GenusZeroUnsupported("horizontal foliation test requires genus >= 1")
-    floors = sum(b // a for a, b in inv.exceptional)
-    ceilings = sum(-(-b // a) for a, b in inv.exceptional)
-    return floors <= 2 * inv.genus - 2 and ceilings >= 2 - 2 * inv.genus
+    return inv.genus >= min_genus_for_ehn(inv.exceptional)
 
 
 def min_genus_for_ehn(exceptional: Iterable[tuple[int, int]]) -> int:

@@ -18,16 +18,17 @@ pushed down a covering, not up).
 Every certificate comes from one path, volume_lower_bound.  It chooses one
 plan (_choose_plan): the pieces to fill with one slope per slot, and the
 prime q of the characteristic cover after which every filled piece passes
-the foliation test (q = 1: no cover).  The prime is the smallest one at
-least the prime each filled piece needs and above every boundary count of
-the graph.  It builds that cover, takes the flat connection on each filled
-piece, and certifies the Godbillon-Vey value 2 * sum of |cs(P)| over the
-plan.  Every neighbor of the plan carries a connection that kills the
-fiber and contributes zero.  What remains existential is the boundary
-translation data of those neighbors: realizing it as a product of
-commutators needs |sum of translation classes| < 2 genus - 1, and the
-certificate records the genus threshold under a configured bound on that
-sum, discharged by the existence of genus-raising covers of every order.
+the foliation test (q = 1: no cover).  The prime is the largest that
+min_prime_for_ehn_cover returns for a filled piece: it exceeds every
+boundary count, as characteristic_cover requires.  It builds that cover,
+takes the flat connection on each filled piece, and certifies the
+Godbillon-Vey value 2 * sum of |cs(P)| over the plan.  Every neighbor of
+the plan carries a connection that kills the fiber and contributes zero.
+What remains existential is the boundary translation data of those
+neighbors: realizing it as a product of commutators needs |sum of
+translation classes| < 2 genus - 1, and the certificate records the genus
+threshold under a configured bound on that sum, discharged by the
+existence of genus-raising covers of every order.
 
 The filled pieces depend on the absolute Euler number |e|, the sum of
 |e(P)|, where e(P) is the Euler number of piece P filled along its
@@ -58,15 +59,13 @@ from .coverings import (
     certificate_to_document,
     characteristic_cover,
     min_prime_for_ehn_cover,
-    next_prime_above,
 )
 from .errors import EhnFails, GmanvolError, PMJFormRequired
 from .graph import (
     GraphManifold,
     Slope,
-    _filled_euler_table,
+    _filled_piece_table,
     _require_valid,
-    canonical_framing,
     filled_piece_invariants,
     is_pm_j_form,
 )
@@ -232,10 +231,10 @@ def _choose_plan(gm: GraphManifold) -> _Plan:
     lexicographically); each side takes section-minus-fiber on the shared
     tori, in its own coordinates, and its canonical framing elsewhere.
     """
-    filled_euler = _filled_euler_table(gm)
-    if any(filled_euler.values()):
-        chosen = min(filled_euler, key=lambda pid: (-abs(filled_euler[pid]), pid))
-        fillings, r = {chosen: tuple(canonical_framing(gm, chosen))}, None
+    table = _filled_piece_table(gm)
+    if any(row.euler for row in table.values()):
+        chosen = min(table, key=lambda pid: (-abs(table[pid].euler), pid))
+        fillings, r = {chosen: table[chosen].framing}, None
     else:
         if not is_pm_j_form(gm):
             raise PMJFormRequired(
@@ -253,15 +252,13 @@ def _choose_plan(gm: GraphManifold) -> _Plan:
         fillings = {
             pid: tuple(
                 SHARED_FILLING_SLOPE if (pid, slot) in ends else slope
-                for slot, slope in enumerate(canonical_framing(gm, pid))
+                for slot, slope in enumerate(table[pid].framing)
             )
             for pid in pair
         }
         r = len(shared_ends[pair]) // 2
 
     q = max(min_prime_for_ehn_cover(gm, pid, slopes) for pid, slopes in fillings.items())
-    if q > 1:
-        q = next_prime_above(max(q - 1, max(piece.boundary for piece in gm.pieces)))
     return _Plan(fillings, r, q)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from gmanvol import ParseError, parse_graph, verify_covering_certificate
-from gmanvol import cli, seifert
+from gmanvol import cli, graph, seifert
 from gmanvol.cli import run
 from gmanvol.coverings import covered_graph_from_document
 
@@ -96,28 +96,38 @@ class TestInvariantsVerb:
         assert doc["pieces"]["A"]["filled_geometry"] == "h2xr"
 
     def test_each_invariant_computed_once_per_piece(self, corpus_paths, monkeypatch):
-        calls = {"euler_number": 0, "orbifold_euler_char": 0}
+        # Each function is patched in its own module (listed first) and in
+        # every module that calls it: the filled-piece table in graph frames
+        # each piece and takes its Euler number, the verb takes chi.
+        modules_of = {
+            "canonical_framing": (graph,),
+            "euler_number": (seifert, graph),
+            "orbifold_euler_char": (seifert, cli),
+        }
+        calls = dict.fromkeys(modules_of, 0)
 
-        def counted(name):
-            original = getattr(seifert, name)
-
-            def wrapper(inv):
+        def counted(name, original):
+            def wrapper(*args):
                 calls[name] += 1
-                return original(inv)
+                return original(*args)
 
             return wrapper
 
-        for name in calls:
-            wrapper = counted(name)
-            monkeypatch.setattr(cli, name, wrapper)
-            monkeypatch.setattr(seifert, name, wrapper)
+        for name, modules in modules_of.items():
+            wrapper = counted(name, getattr(modules[0], name))
+            for module in modules:
+                monkeypatch.setattr(module, name, wrapper)
         for path in corpus_paths:
             for name in calls:
                 calls[name] = 0
             code, out, _ = invoke(["invariants", str(path)])
             assert code == 0
             pieces = len(json.loads(out)["pieces"])
-            assert calls == {"euler_number": pieces, "orbifold_euler_char": pieces}
+            assert calls == {
+                "canonical_framing": pieces,
+                "euler_number": pieces,
+                "orbifold_euler_char": pieces,
+            }
 
 
 class TestCoverVerb:

@@ -78,13 +78,13 @@ def trial_division_is_prime(n: int) -> bool:
 
 
 def stepping_min_prime(gm, piece_id, slopes):
-    """Reference for min_prime_for_ehn_cover: try every prime above p in turn."""
+    """Reference for min_prime_for_ehn_cover: try each prime above every boundary count."""
     piece = gm.piece(piece_id)
     if ehn_horizontal_foliation(filled_piece_invariants(gm, piece_id, slopes)):
         return 1
     if piece.boundary < 2:
         raise BoundaryCountTooSmall(piece_id)
-    q = piece.boundary + 1
+    q = max(p.boundary for p in gm.pieces) + 1
     while True:
         if trial_division_is_prime(q):
             genus_up, _ = riemann_hurwitz_genus(piece.genus, piece.boundary, q, "q")
@@ -361,6 +361,22 @@ class TestMinPrime:
     def test_boundary_case(self):
         gm = two_piece_graph([J, J])
         assert min_prime_for_ehn_cover(gm, "A", [Slope(1, -1)] * 2) == 1
+
+    def test_prime_exceeds_every_boundary_count(self):
+        # A and C have two boundary tori, B has four.  A alone would need
+        # q = 3, which characteristic_cover rejects as not above 4.
+        gm = GraphManifold(
+            (BundlePiece("A", 2, 2), BundlePiece("B", 2, 4), BundlePiece("C", 2, 2)),
+            tuple(Edge(("A", i), ("B", i), J) for i in range(2))
+            + tuple(Edge(("C", i), ("B", 2 + i), J) for i in range(2)),
+        )
+        assert validate(gm) == []
+        slopes = [Slope(1, 5)] * 2
+        q = min_prime_for_ehn_cover(gm, "A", slopes)
+        assert q == 5
+        cover = characteristic_cover(gm, q)
+        assert verify_covering_certificate(cover, gm) == []
+        assert ehn_horizontal_foliation(filled_piece_invariants(cover.manifold, "A", slopes))
 
     def test_single_boundary_needs_cover_rejected(self):
         gm = two_piece_graph([J])

@@ -16,6 +16,7 @@ import random
 import sys
 
 from gmanvol import (
+    absolute_euler_number,
     characteristic_cover,
     genus_raising_cover,
     graph_from_document,
@@ -72,16 +73,17 @@ def layer_counts(n: int) -> dict[str, int]:
 
     gm = run(graph_from_document, graph_to_document(periodic_cycle(n)))
     run(validate, gm)
+    run(absolute_euler_number, gm)
     assert run(volume_lower_bound, gm).plan.q > 1, "every size must need a tower"
     run(characteristic_cover, gm, Q)
     cover = run(genus_raising_cover, gm, "P0", Q)
     run(verify_covering_certificate, cover, gm)
-    run(covered_graph_from_document, covered_graph_to_document(cover))
+    run(covered_graph_from_document, run(covered_graph_to_document, cover))
     return counts
 
 
 def test_every_layer_is_linear():
     small, large = (layer_counts(n) for n in SIZES)
-    assert len(small) == 7 and all(small.values()), small
+    assert len(small) == 9 and all(small.values()), small
     ratios = {layer: round(large[layer] / small[layer], 2) for layer in small}
     assert {layer: ratio for layer, ratio in ratios.items() if ratio > MAX_RATIO} == {}

@@ -333,15 +333,13 @@ class TestOnePass:
     def test_both_cases_are_covered(self):
         assert {case for case, _ in self.certified_graphs()} == {"e_nonzero", "e_zero_pmj"}
 
-    def test_canonical_framing_at_most_pieces_plus_two(self, monkeypatch):
+    def test_canonical_framing_once_per_piece(self, monkeypatch):
         graphs = list(self.certified_graphs())
-        calls = self.count_calls(
-            monkeypatch, "canonical_framing", (gmanvol.graph, gmanvol.volume)
-        )
+        calls = self.count_calls(monkeypatch, "canonical_framing", (gmanvol.graph,))
         for _, gm in graphs:
             calls.clear()
             volume_lower_bound(gm)
-            assert len(calls) <= len(gm.pieces) + 2
+            assert len(calls) == len(gm.pieces)
 
     def test_volume_bound_verb_validates_once(self, monkeypatch, tmp_path):
         graphs = list(self.certified_graphs())
