@@ -11,18 +11,60 @@ manifold through a suitable finite cover) or positive simplicial volume (a
 hyperbolic piece).  Targets finitely covered by a torus bundle, by a
 trivial circle bundle or by the 3-sphere admit self-maps of arbitrarily
 many degrees.
+
+The classify document, decoded here, is a graph document, a Seifert
+description {"kind": "seifert", "genus", "exceptional"} or {"kind": flag}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import GraphManifold, _require_valid, _short_repr
+from .errors import ParseError
+from .graph import (
+    GraphManifold,
+    _expect_int,
+    _expect_keys,
+    _require_valid,
+    _short_repr,
+    graph_from_document,
+)
 from .seifert import GeometryType, SeifertInvariants, geometry_type
 
 KIND_SEIFERT = "seifert"
 KIND_TORUS_BUNDLE_COVERED = "torus-bundle-covered"
 KIND_HYPERBOLIC = "hyperbolic-or-contains-hyperbolic-piece"
+
+_SEIFERT_KEYS = frozenset(("kind", "genus", "exceptional"))
+_FLAG_KEYS = frozenset(("kind",))
+
+
+def _description_from_document(doc):
+    """The target of a classify document, as mapping_degree_finiteness takes it."""
+    if isinstance(doc, dict) and "pieces" in doc and "edges" in doc:
+        return graph_from_document(doc)
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise ParseError(
+            'classify input must be a graph document or carry a "kind" field'
+        )
+    kind = doc["kind"]
+    if kind == KIND_SEIFERT:
+        try:
+            inv = SeifertInvariants(
+                genus=_expect_int(doc["genus"], "genus"),
+                exceptional=tuple(
+                    (_expect_int(a, "alpha"), _expect_int(b, "beta"))
+                    for a, b in doc.get("exceptional", [])
+                ),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed Seifert description: {exc}") from exc
+        _expect_keys(doc, _SEIFERT_KEYS, "Seifert description")
+        return inv
+    if kind in (KIND_TORUS_BUNDLE_COVERED, KIND_HYPERBOLIC):
+        _expect_keys(doc, _FLAG_KEYS, f"{kind} description")
+        return kind
+    raise ParseError(f"unknown manifold kind {_short_repr(kind)}")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ Verbs
     classify      print a mapping-degree finiteness verdict
 
 Output is canonical JSON on stdout, one document per input file, identical
-bytes on identical inputs; --pretty switches to indented rendering.  Errors
-are reported as JSON on stderr.  Exit codes: 0 success, 1 validation
-failure, 2 unsupported input, 3 parse error.
+bytes on identical inputs; --pretty switches to indented rendering.  This
+module only parses flags and loops over files: the package decodes each
+file's bytes, and each failure is a GmanvolError, reported as JSON on
+stderr, whose type carries the exit code.  Exit codes: 0 success, 1
+validation failure, 2 unsupported input, 3 parse error.
 """
 
 from __future__ import annotations
@@ -24,23 +26,13 @@ from pathlib import Path
 from . import classify as classify_mod
 from .coverings import characteristic_cover, covered_graph_to_document, genus_raising_cover
 from .errors import GmanvolError, ParseError, ValidationError
-from .graph import (
-    _expect_int,
-    _expect_keys,
-    _filled_piece_table,
-    _require_valid,
-    _short_repr,
-    graph_from_document,
-    validate,
-)
-from .seifert import SeifertInvariants, _geometry, orbifold_euler_char
+from .graph import _filled_piece_table, _require_valid, graph_from_document, validate
+from .seifert import _geometry, orbifold_euler_char
 from .serialize import _load_json, canonical_json_bytes, format_rational
 from .volume import VolumeConfig, volume_lower_bound
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
-EXIT_UNSUPPORTED = 2
-EXIT_PARSE = 3
 
 
 @functools.cache
@@ -81,12 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_document(path: Path):
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8: {exc}") from exc
-    return _load_json(text, str(path))
+    return _load_json(data, str(path))
 
 
 def _run_validate(path: Path, args) -> tuple[dict | list, int]:
@@ -137,40 +127,8 @@ def _run_volume_bound(path: Path, args) -> tuple[dict, int]:
     return cert.to_document(), EXIT_OK
 
 
-_SEIFERT_KEYS = frozenset(("kind", "genus", "exceptional"))
-_FLAG_KEYS = frozenset(("kind",))
-
-
-def _description_from_document(doc):
-    """The target of a classify document, as mapping_degree_finiteness takes it."""
-    if isinstance(doc, dict) and "pieces" in doc and "edges" in doc:
-        return graph_from_document(doc)
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ParseError(
-            'classify input must be a graph document or carry a "kind" field'
-        )
-    kind = doc["kind"]
-    if kind == classify_mod.KIND_SEIFERT:
-        try:
-            inv = SeifertInvariants(
-                genus=_expect_int(doc["genus"], "genus"),
-                exceptional=tuple(
-                    (_expect_int(a, "alpha"), _expect_int(b, "beta"))
-                    for a, b in doc.get("exceptional", [])
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed Seifert description: {exc}") from exc
-        _expect_keys(doc, _SEIFERT_KEYS, "Seifert description")
-        return inv
-    if kind in (classify_mod.KIND_TORUS_BUNDLE_COVERED, classify_mod.KIND_HYPERBOLIC):
-        _expect_keys(doc, _FLAG_KEYS, f"{kind} description")
-        return kind
-    raise ParseError(f"unknown manifold kind {_short_repr(kind)}")
-
-
 def _run_classify(path: Path, args) -> tuple[dict, int]:
-    target = _description_from_document(_load_document(path))
+    target = classify_mod._description_from_document(_load_document(path))
     verdict = classify_mod.mapping_degree_finiteness(target)
     return verdict.to_document(), EXIT_OK
 
@@ -191,14 +149,6 @@ def _error_document(exc: GmanvolError) -> dict:
     return doc
 
 
-def _exit_code_for(exc: GmanvolError) -> int:
-    if isinstance(exc, ParseError):
-        return EXIT_PARSE
-    if isinstance(exc, ValidationError):
-        return EXIT_VALIDATION
-    return EXIT_UNSUPPORTED
-
-
 def run(argv, stdout=None, stderr=None) -> int:
     """Execute one command; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
@@ -215,7 +165,7 @@ def run(argv, stdout=None, stderr=None) -> int:
             doc = _error_document(exc)
             doc["file"] = str(path)
             stderr.write(canonical_json_bytes(doc).decode("utf-8") + "\n")
-            return _exit_code_for(exc)
+            return exc.exit_code
         stdout.write(text + "\n")
         if code != EXIT_OK:
             return code

@@ -1,10 +1,11 @@
 """Exception types shared across the package.
 
 Every failure the command line front end can reach derives from
-GmanvolError, so it maps onto a small set of exit codes: malformed input,
-invalid graph data, or an input outside the reach of the implemented
-constructions.  The library API is looser: some of its functions and
-value classes, for example Slope, SeifertInvariants and
+GmanvolError, and each type carries the exit code the command line ends
+with: ParseError 3 (malformed input), ValidationError 1 (invalid graph
+data), and every other type 2 (an input outside the reach of the
+implemented constructions).  The library API is looser: some of its
+functions and value classes, for example Slope, SeifertInvariants and
 riemann_hurwitz_genus, raise ValueError or TypeError on invalid arguments.
 """
 
@@ -12,13 +13,19 @@ riemann_hurwitz_genus, raise ValueError or TypeError on invalid arguments.
 class GmanvolError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2
+
 
 class ParseError(GmanvolError):
     """Input text is not a well-formed document."""
 
+    exit_code = 3
+
 
 class ValidationError(GmanvolError):
     """A graph document violates a structural invariant."""
+
+    exit_code = 1
 
     def __init__(self, violations):
         self.violations = list(violations)

@@ -379,11 +379,6 @@ def graph_from_document(doc) -> GraphManifold:
 
 def parse_graph(data: bytes | str) -> GraphManifold:
     """Parse and validate a graph document; raise on any violation."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"document is not UTF-8: {exc}") from exc
     return _require_valid(graph_from_document(_load_json(data, "document")))
 
 
@@ -404,9 +399,9 @@ def graph_to_document(gm: GraphManifold) -> dict:
     }
 
 
-def serialize_graph(gm: GraphManifold, pretty: bool = False) -> bytes:
+def serialize_graph(gm: GraphManifold) -> bytes:
     """Canonical byte serialization; parse_graph inverts it exactly."""
-    return canonical_json_bytes(graph_to_document(gm), pretty=pretty)
+    return canonical_json_bytes(graph_to_document(gm))
 
 
 def canonical_framing(gm: GraphManifold, piece_id: str) -> list[Slope]:

@@ -47,15 +47,20 @@ def _int_text(value: int) -> str:
         return f"an integer of more than {sys.get_int_max_str_digits()} digits"
 
 
-def _load_json(text: str, name: str):
-    """The value of a JSON text, with every decoding failure a ParseError.
+def _load_json(data: bytes | str, name: str):
+    """The value of a JSON document, with every decoding failure a ParseError.
 
-    The message names the input as name.  Besides invalid JSON, this covers
-    an integer literal beyond the interpreter's digit limit and nesting too
-    deep for the decoder.
+    The message names the input as name.  Besides bytes that are not UTF-8
+    and invalid JSON, this covers an integer literal beyond the
+    interpreter's digit limit and nesting too deep for the decoder.
     """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{name} is not UTF-8: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{name} is not valid JSON: {exc}") from exc
     except ValueError as exc:
