@@ -266,22 +266,56 @@ def validate(gm: GraphManifold) -> list[str]:
     if violations or not len(gm._incidence.slots) == 2 * len(gm.edges) == sum(
         piece.boundary for piece in gm.pieces
     ):
-        usage = Counter(end for edge in gm.edges for end in (edge.tail, edge.head))
-        for piece in gm.pieces:
-            piece_id = piece.id
-            for slot in range(piece.boundary):
-                count = usage.get((piece_id, slot), 0)
-                if count != 1:
-                    violations.append(
-                        f"slot {piece_id!r}[{slot}] used by {count} edge endpoints, "
-                        "expected exactly 1"
-                    )
+        violations.extend(_slot_violations(gm))
 
     if not gm.edges:
         violations.append("graph has no edges")
     elif not violations and not _is_connected(gm):
         # Connectivity is only meaningful once the incidence data is sane.
         violations.append("graph is not connected")
+    return violations
+
+
+def _slot_violations(gm: GraphManifold) -> list[str]:
+    """One line per slot not used exactly once, piece by piece in slot order.
+
+    A boundary count is a number in the input, so unused slots are listed
+    one per line only within a budget of 2 |edges| + |pieces| lines; past
+    it, each piece gets one line with the count of its unlisted unused
+    slots.  Every overused slot keeps its own line, so the report is linear
+    in the number of pieces and edges.
+    """
+    usage = Counter(end for edge in gm.edges for end in (edge.tail, edge.head))
+    used_slots: dict[str, list[int]] = {}
+    for piece_id, slot in usage:
+        used_slots.setdefault(piece_id, []).append(slot)
+    budget = 2 * len(gm.edges) + len(gm.pieces)
+    violations = []
+    for piece in gm.pieces:
+        piece_id, boundary = piece.id, piece.boundary
+        used = sorted(s for s in used_slots.get(piece_id, ()) if 0 <= s < boundary)
+        start = unlisted = 0
+        for slot in used + [boundary]:
+            # Slots start .. slot - 1 are unused.
+            gap = max(slot - start, 0)
+            listed = min(gap, budget)
+            violations.extend(
+                f"slot {piece_id!r}[{s}] used by 0 edge endpoints, expected exactly 1"
+                for s in range(start, start + listed)
+            )
+            budget -= listed
+            unlisted += gap - listed
+            if slot < boundary and usage[(piece_id, slot)] != 1:
+                violations.append(
+                    f"slot {piece_id!r}[{slot}] used by {usage[(piece_id, slot)]} "
+                    "edge endpoints, expected exactly 1"
+                )
+            start = slot + 1
+        if unlisted:
+            violations.append(
+                f"piece {piece_id!r}: {_int_text(unlisted)} more slots used by 0 "
+                "edge endpoints, expected exactly 1"
+            )
     return violations
 
 

@@ -462,6 +462,26 @@ class TestHostileInputs:
             path.write_text(json.dumps(doc))
             self._expect_error(["invariants", str(path)], 3, "ParseError")
 
+    def test_huge_boundary_count(self, tmp_path):
+        # One unused slot per line would print 10**30 lines.
+        doc = {
+            "pieces": [
+                {"id": "A", "genus": 2, "boundary": 10**30},
+                {"id": "B", "genus": 2, "boundary": 1},
+            ],
+            "edges": [{"tail": ["A", 0], "head": ["B", 0], "matrix": [[0, 1], [1, 0]]}],
+        }
+        path = tmp_path / "huge-boundary.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke_subprocess(["validate", str(path)], timeout=10)
+        assert (code, err) == (1, "")
+        assert len(out) < 1000
+        assert json.loads(out)[-1].startswith(f"piece 'A': {10**30 - 5} more slots")
+        code, out, err = invoke_subprocess(["invariants", str(path)], timeout=10)
+        assert (code, out) == (1, "")
+        assert len(err) < 2000
+        assert json.loads(err)["error"] == "ValidationError"
+
     def test_seifert_document_types(self, tmp_path):
         for name, doc in {
             "bool-genus": {"kind": "seifert", "genus": True},

@@ -137,6 +137,21 @@ class TestValidate:
         )
         assert any("used by 0 edge endpoints" in v for v in validate(gm))
 
+    def test_unused_slots_listed_within_budget(self):
+        # Budget 2 * 2 edges + 2 pieces = 6 listed unused slots; past it each
+        # piece gets one count line, and an overused slot keeps its line.
+        gm = GraphManifold(
+            (BundlePiece("A", 2, 10), BundlePiece("B", 2, 2)),
+            (Edge(("A", 0), ("B", 0), J), Edge(("A", 3), ("B", 0), J)),
+        )
+        unused = "used by 0 edge endpoints, expected exactly 1"
+        assert validate(gm) == [
+            *(f"slot 'A'[{slot}] {unused}" for slot in (1, 2, 4, 5, 6, 7)),
+            f"piece 'A': 2 more slots {unused}",
+            "slot 'B'[0] used by 2 edge endpoints, expected exactly 1",
+            f"piece 'B': 1 more slots {unused}",
+        ]
+
     def test_disconnected(self):
         gm = GraphManifold(
             (
