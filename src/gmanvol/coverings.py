@@ -324,6 +324,15 @@ def verify_covering_certificate(cov: CoveredGraph, base: GraphManifold) -> list[
         report.append(f"total degree {cert.total_degree} is not positive")
     if cert.characteristic_level < 1:
         report.append(f"characteristic level {cert.characteristic_level} is not positive")
+    # _build_cover's rule: level 1 covers have fiber degree one on every
+    # piece, level q covers come from a product epimorphism.
+    case = "fiber-degree-one" if cert.characteristic_level == 1 else "product-epimorphism"
+    if cert.separable is not True or cert.separable_case != case:
+        report.append(
+            f"separability claim ({_short_repr(cert.separable)}, "
+            f"{_short_repr(cert.separable_case)}) is not (True, {case!r}) "
+            f"at characteristic level {cert.characteristic_level}"
+        )
 
     for piece_id in sorted(up_by_id):
         if piece_id not in cert.per_piece:

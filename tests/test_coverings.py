@@ -341,6 +341,22 @@ class TestVerifyCertificate:
         report = verify_covering_certificate(tampered, gm)
         assert any("degree bookkeeping" in line for line in report)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("separable", False),
+            ("separable_case", "product-epimorphism"),
+            ("separable_case", "made-up"),
+        ],
+    )
+    def test_tampered_separability(self, corpus_paths, field, value):
+        path = next(p for p in corpus_paths if p.name == "star-3.json")
+        star = parse_graph(path.read_bytes())
+        cov = genus_raising_cover(star, "Z", 3)
+        tampered = replace(cov, certificate=replace(cov.certificate, **{field: value}))
+        report = verify_covering_certificate(tampered, star)
+        assert any("separability claim" in line for line in report)
+
     def test_document_shape(self):
         gm, cov = self._cover()
         doc = covered_graph_to_document(cov)
