@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from gmanvol import ParseError, parse_graph, verify_covering_certificate
+import gmanvol
+from gmanvol import GmanvolError, NotPrime, ParseError, ValidationError
+from gmanvol import parse_graph, verify_covering_certificate
 from gmanvol import cli, graph, seifert
 from gmanvol.cli import run
 from gmanvol.coverings import covered_graph_from_document
@@ -360,6 +362,42 @@ class TestExitCodesAndDeterminism:
         code, _, err = invoke(["invariants", str(path)])
         assert code == 1
         assert json.loads(err)["error"] == "ValidationError"
+
+    def test_every_error_type_carries_its_readme_code(self):
+        errors = [
+            value
+            for name in gmanvol.__all__
+            if isinstance(value := getattr(gmanvol, name), type)
+            and issubclass(value, GmanvolError)
+        ]
+        assert len(errors) > 3
+        for error in errors:
+            expected = {ParseError: 3, ValidationError: 1}.get(error, 2)
+            assert error.exit_code == expected, error.__name__
+
+    @pytest.mark.parametrize(
+        "exc", [ParseError("p"), ValidationError(["v"]), NotPrime("n")],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_run_exits_with_the_error_code(self, exc, double_j, monkeypatch):
+        def fail(path, args):
+            raise exc
+
+        monkeypatch.setitem(cli._RUNNERS, "validate", fail)
+        code, out, err = invoke(["validate", str(double_j)])
+        assert (code, out) == (exc.exit_code, "")
+        assert json.loads(err)["error"] == type(exc).__name__
+
+    def test_utf8_error_text_is_shared(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff")
+        with pytest.raises(ParseError) as raised:
+            parse_graph(b"\xff")
+        code, _, err = invoke(["validate", str(path)])
+        assert code == 3
+        library = str(raised.value).removeprefix("document")
+        assert library.startswith(" is not UTF-8: ")
+        assert json.loads(err)["message"] == f"{path}{library}"
 
     def test_byte_identical_reruns(self, corpus_paths):
         for path in corpus_paths:
