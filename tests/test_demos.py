@@ -1,4 +1,10 @@
-"""Every walk-through in demos/ runs to completion against the package."""
+"""Every walk-through in demos/ runs to completion and prints its snapshot.
+
+tests/golden/demos/ holds the stdout of each demo, byte for byte.  The
+snapshots are regenerated with the command line goldens:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
 
 import os
 import subprocess
@@ -9,19 +15,43 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SNAPSHOT_DIR = Path(__file__).parent / "golden" / "demos"
+
+
+def run_demo(demo: Path) -> bytes:
+    """The stdout of one demo, run against the package in src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    return proc.stdout
+
+
+def snapshot_path(demo: Path) -> Path:
+    return SNAPSHOT_DIR / f"{demo.stem}.out"
 
 
 def test_demos_exist():
     assert DEMOS
 
 
+def test_every_snapshot_has_a_demo():
+    stored = {path.name for path in SNAPSHOT_DIR.glob("*.out")}
+    assert stored == {snapshot_path(demo).name for demo in DEMOS}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, timeout=60, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
+    assert run_demo(demo) == snapshot_path(demo).read_bytes()
+
+
+def regenerate() -> None:
+    SNAPSHOT_DIR.mkdir(parents=True, exist_ok=True)
+    for stale in SNAPSHOT_DIR.glob("*.out"):
+        stale.unlink()
+    for demo in DEMOS:
+        snapshot_path(demo).write_bytes(run_demo(demo))

@@ -11,7 +11,9 @@ invalid graphs whose violation lists are order-sensitive, classify-only
 descriptions and malformed documents.  Error runs are recorded as well:
 they are part of the behaviour these snapshots pin.
 
-The snapshots are regenerated only when an output change is intended:
+The same command also rewrites the demo snapshots in tests/golden/demos/
+(see test_demos.py).  The snapshots are regenerated only when an output
+change is intended:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -282,6 +284,10 @@ def regenerate() -> None:
     CASES_FILE.write_text(
         json.dumps(cases, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
     )
+    # Imported here, like builders: the demo snapshots live in golden/ too.
+    from test_demos import regenerate as regenerate_demos
+
+    regenerate_demos()
 
 
 if __name__ == "__main__":
