@@ -213,7 +213,11 @@ def transport_slope(edge: Edge, direction: Direction, slope: Slope) -> Slope:
 
 
 def validate(gm: GraphManifold) -> list[str]:
-    """Check every structural invariant; return the violations (empty if valid)."""
+    """Check every structural invariant; return the violations (empty if valid).
+
+    The report is linear in the number of pieces and edges: past a budget,
+    a piece's unused slots are counted in one line instead of listed.
+    """
     violations: list[str] = []
     seen_ids: set[str] = set()
     for piece in gm.pieces:
