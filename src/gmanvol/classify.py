@@ -39,7 +39,7 @@ _SEIFERT_KEYS = frozenset(("kind", "genus", "exceptional"))
 _FLAG_KEYS = frozenset(("kind",))
 
 
-def _description_from_document(doc):
+def _target_from_document(doc):
     """The target of a classify document, as mapping_degree_finiteness takes it."""
     if isinstance(doc, dict) and "pieces" in doc and "edges" in doc:
         return graph_from_document(doc)

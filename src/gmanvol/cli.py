@@ -128,7 +128,7 @@ def _run_volume_bound(path: Path, args) -> tuple[dict, int]:
 
 
 def _run_classify(path: Path, args) -> tuple[dict, int]:
-    target = classify_mod._description_from_document(_load_document(path))
+    target = classify_mod._target_from_document(_load_document(path))
     verdict = classify_mod.mapping_degree_finiteness(target)
     return verdict.to_document(), EXIT_OK
 
