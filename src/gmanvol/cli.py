@@ -27,7 +27,7 @@ from . import classify as classify_mod
 from .coverings import characteristic_cover, covered_graph_to_document, genus_raising_cover
 from .errors import GmanvolError, ParseError, ValidationError
 from .graph import _filled_piece_table, _require_valid, graph_from_document, validate
-from .seifert import _geometry, orbifold_euler_char
+from .seifert import _geometry
 from .serialize import _load_json, canonical_json_bytes, format_rational
 from .volume import VolumeConfig, volume_lower_bound
 
@@ -80,33 +80,26 @@ def _load_document(path: Path):
 
 
 def _run_validate(path: Path, args) -> tuple[dict | list, int]:
-    gm = graph_from_document(_load_document(path))
-    report = validate(gm)
+    report = validate(graph_from_document(_load_document(path)))
     return report, (EXIT_OK if not report else EXIT_VALIDATION)
 
 
 def _run_invariants(path: Path, args) -> tuple[dict, int]:
     gm = _require_valid(graph_from_document(_load_document(path)))
     table = _filled_piece_table(gm)
-    pieces = {}
-    absolute = Fraction(0)
+    pieces, absolute = {}, Fraction(0)
     for piece in gm.pieces:
-        framing, filled, e = table[piece.id]
-        chi = orbifold_euler_char(filled)
+        framing, e, chi = table[piece.id]
         absolute += abs(e)
         pieces[piece.id] = {
             "genus": piece.genus,
             "boundary": piece.boundary,
-            "canonical_framing": [[s.a, s.b] for s in framing],
+            "canonical_framing": [list(pair) for pair in framing],
             "filled_euler_number": format_rational(e),
             "filled_orbifold_euler_char": format_rational(chi),
             "filled_geometry": _geometry(e, chi).value,
         }
-    doc = {
-        "absolute_euler_number": format_rational(absolute),
-        "pieces": pieces,
-    }
-    return doc, EXIT_OK
+    return {"absolute_euler_number": format_rational(absolute), "pieces": pieces}, EXIT_OK
 
 
 def _run_cover(path: Path, args) -> tuple[dict, int]:

@@ -32,11 +32,8 @@ edges sorted by (tail, head, matrix)):
 
 Slots are 0-based indices into a piece's boundary components.
 
-A document is decoded in one typed pass: every field is type-checked as
-its value object is built, in document order, and equal gluing matrices
-share one object.  The per-element value classes (Slope, GluingMatrix,
-BundlePiece, Edge) are slotted, so they carry no per-instance __dict__;
-GraphManifold keeps one for its cached incidence index.
+A document is decoded in one typed pass (graph_from_document), sharing equal
+gluing matrices; Slope, GluingMatrix, BundlePiece and Edge are slotted.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from operator import attrgetter
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
-from .seifert import SeifertInvariants, euler_number, fill_framed_piece
+from .seifert import SeifertInvariants, fill_framed_piece
 from .serialize import _int_text, _load_json, canonical_json_bytes
 
 
@@ -81,9 +78,6 @@ class Slope:
         if a < 0 or (a == 0 and b < 0):
             a, b = -a, -b
         return cls(a, b)
-
-
-FIBER = Slope(0, 1)
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -164,10 +158,8 @@ class GraphManifold:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        pieces = tuple(sorted(self.pieces, key=attrgetter("id")))
-        edges = tuple(sorted(self.edges, key=_edge_sort_key))
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "pieces", tuple(sorted(self.pieces, key=attrgetter("id"))))
+        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=_edge_sort_key)))
 
     @cached_property
     def _incidence(self) -> _Incidence:
@@ -442,29 +434,28 @@ def serialize_graph(gm: GraphManifold) -> bytes:
     return canonical_json_bytes(graph_to_document(gm))
 
 
+def _framing_pairs(matrix: GluingMatrix) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Framing pairs of an edge's head and tail slots (see _filled_piece_table)."""
+    (a, b), (_, d) = matrix.rows
+    return ((b, d), (b, -a)) if b >= 0 else ((-b, -d), (-b, a))
+
+
 def canonical_framing(gm: GraphManifold, piece_id: str) -> list[Slope]:
     """The framing of a piece by the fibers of its neighbors, one slope per slot.
 
-    For each boundary slot, the fiber slope (0, 1) of the opposite side of
-    the gluing torus is transported into this piece's coordinates.  The
-    minimality invariant (nonzero upper-right matrix entry) guarantees the
-    result is never the fiber of this piece.
+    Per slot, the opposite side's fiber (0, 1) carried across the gluing torus
+    by the closed form of _filled_piece_table; an unused slot raises.
     """
-    piece = gm.piece(piece_id)
     slots = gm._incidence.slots
     framing = []
-    for slot in range(piece.boundary):
-        try:
-            index, side = slots[(piece_id, slot)]
-        except KeyError:
+    for slot in range(gm.piece(piece_id).boundary):
+        if (piece_id, slot) not in slots:
             raise ValidationError(
                 [f"slot {piece_id!r}[{slot}] used by 0 edge endpoints, expected exactly 1"]
-            ) from None
-        edge = gm.edges[index]
-        if side == "head":
-            framing.append(transport_slope(edge, "tail_to_head", FIBER))
-        else:
-            framing.append(transport_slope(edge, "head_to_tail", FIBER))
+            )
+        index, side = slots[(piece_id, slot)]
+        head, tail = _framing_pairs(gm.edges[index].matrix)
+        framing.append(Slope.canonical(*(head if side == "head" else tail)))
     return framing
 
 
@@ -482,24 +473,39 @@ def filled_piece_invariants(
 
 
 class _FilledPiece(NamedTuple):
-    framing: tuple[Slope, ...]
-    invariants: SeifertInvariants
+    framing: tuple[tuple[int, int], ...]
     euler: Fraction
+    chi: Fraction
 
 
 def _filled_piece_table(gm: GraphManifold) -> dict[str, _FilledPiece]:
-    """Piece id -> its canonical framing, the piece filled along it, its Euler number."""
+    """Piece id -> canonical framing, and e and chi of the piece filled along it.
+
+    gm must be valid.  Each slot is one end of a torus [[a, b], [c, d]], and
+    its framing pair, the other side's fiber carried across, is (|b|, sgn(b) d)
+    at a head end and (|b|, -sgn(b) a) at a tail end: as ad - bc = -1 and
+    b != 0, a coprime filling pair (alpha, beta), alpha >= 1, with nothing to
+    check.  e = sum beta/alpha and chi = 2 - 2g - l + sum 1/alpha (l slots)
+    are summed in integers over the product of the alphas, as in seifert.
+    """
+    framings = {piece.id: [None] * piece.boundary for piece in gm.pieces}
+    for edge in gm.edges:
+        (head, h), (tail, t) = edge.head, edge.tail
+        framings[head][h], framings[tail][t] = _framing_pairs(edge.matrix)
     table = {}
     for piece in gm.pieces:
-        framing = tuple(canonical_framing(gm, piece.id))
-        filled = filled_piece_invariants(gm, piece.id, framing)
-        table[piece.id] = _FilledPiece(framing, filled, euler_number(filled))
+        framing = tuple(framings[piece.id])
+        euler, chi, den = 0, 2 - 2 * piece.genus - len(framing), 1
+        for alpha, beta in framing:
+            euler, chi, den = euler * alpha + beta * den, chi * alpha + den, den * alpha
+        table[piece.id] = _FilledPiece(framing, Fraction(euler, den), Fraction(chi, den))
     return table
 
 
 def absolute_euler_number(gm: GraphManifold) -> Fraction:
     """Sum over pieces of |e| of the piece filled along its canonical framing."""
-    return sum((abs(row.euler) for row in _filled_piece_table(gm).values()), Fraction(0))
+    rows = _filled_piece_table(_require_valid(gm)).values()
+    return sum((abs(row.euler) for row in rows), Fraction(0))
 
 
 def is_pm_j_form(gm: GraphManifold) -> bool:

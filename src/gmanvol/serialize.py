@@ -23,7 +23,7 @@ def format_rational(value: Fraction | int) -> str:
     Raises RationalTooLong when the numerator or denominator has more
     digits than the interpreter converts to text.
     """
-    f = Fraction(value)
+    f = value if type(value) is Fraction else Fraction(value)
     try:
         if f.denominator == 1:
             return str(f.numerator)

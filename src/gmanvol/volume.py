@@ -234,7 +234,8 @@ def _choose_plan(gm: GraphManifold) -> _Plan:
     table = _filled_piece_table(gm)
     if any(row.euler for row in table.values()):
         chosen = min(table, key=lambda pid: (-abs(table[pid].euler), pid))
-        fillings, r = {chosen: table[chosen].framing}, None
+        fillings = {chosen: tuple(Slope(*pair) for pair in table[chosen].framing)}
+        r = None
     else:
         if not is_pm_j_form(gm):
             raise PMJFormRequired(
@@ -251,8 +252,8 @@ def _choose_plan(gm: GraphManifold) -> _Plan:
         ends = set(shared_ends[pair])
         fillings = {
             pid: tuple(
-                SHARED_FILLING_SLOPE if (pid, slot) in ends else slope
-                for slot, slope in enumerate(table[pid].framing)
+                SHARED_FILLING_SLOPE if (pid, slot) in ends else Slope(alpha, beta)
+                for slot, (alpha, beta) in enumerate(table[pid].framing)
             )
             for pid in pair
         }

@@ -98,38 +98,43 @@ class TestInvariantsVerb:
         assert doc["pieces"]["A"]["filled_geometry"] == "h2xr"
 
     def test_each_invariant_computed_once_per_piece(self, corpus_paths, monkeypatch):
-        # Each function is patched in its own module (listed first) and in
-        # every module that calls it: the filled-piece table in graph frames
-        # each piece and takes its Euler number, the verb takes chi.
-        modules_of = {
-            "canonical_framing": (graph,),
-            "euler_number": (seifert, graph),
-            "orbifold_euler_char": (seifert, cli),
-        }
-        calls = dict.fromkeys(modules_of, 0)
+        # The filled-piece table computes every piece's framing, e and chi
+        # from the matrix entries in one pass, so the verb builds it once
+        # and calls none of the per-piece functions.  Each function is
+        # patched in every module that binds it.
+        names = (
+            "_filled_piece_table",
+            "canonical_framing",
+            "filled_piece_invariants",
+            "fill_framed_piece",
+            "euler_number",
+            "orbifold_euler_char",
+        )
+        modules = (graph, seifert, cli, gmanvol.volume, gmanvol.coverings)
+        calls = {name: [] for name in names}
 
         def counted(name, original):
             def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
+                result = original(*args)
+                calls[name].append(result)
+                return result
 
             return wrapper
 
-        for name, modules in modules_of.items():
-            wrapper = counted(name, getattr(modules[0], name))
+        for name in names:
+            original = getattr(graph if hasattr(graph, name) else seifert, name)
+            wrapper = counted(name, original)
             for module in modules:
-                monkeypatch.setattr(module, name, wrapper)
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapper)
         for path in corpus_paths:
-            for name in calls:
-                calls[name] = 0
+            for made in calls.values():
+                made.clear()
             code, out, _ = invoke(["invariants", str(path)])
             assert code == 0
-            pieces = len(json.loads(out)["pieces"])
-            assert calls == {
-                "canonical_framing": pieces,
-                "euler_number": pieces,
-                "orbifold_euler_char": pieces,
-            }
+            (table,) = calls["_filled_piece_table"]
+            assert list(table) == list(json.loads(out)["pieces"])
+            assert all(calls[name] == [] for name in names[1:])
 
 
 class TestCoverVerb:

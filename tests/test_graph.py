@@ -19,16 +19,18 @@ from gmanvol import (
     absolute_euler_number,
     canonical_framing,
     euler_number,
+    fill_framed_piece,
     filled_piece_invariants,
     graph_from_document,
     graph_to_document,
     is_pm_j_form,
+    orbifold_euler_char,
     parse_graph,
     serialize_graph,
     transport_slope,
     validate,
 )
-from gmanvol.graph import _is_connected
+from gmanvol.graph import _filled_piece_table, _is_connected
 from builders import random_gluing_matrix, random_valid_graph, two_piece_graph
 
 M1110 = GluingMatrix.of(1, 1, 1, 0)
@@ -463,6 +465,64 @@ class TestAbsoluteEulerNumber:
             )
             assert validate(relabeled) == []
             assert absolute_euler_number(relabeled) == absolute_euler_number(gm)
+
+
+    @pytest.mark.parametrize(
+        "b_boundary, edges",
+        [
+            (1, [("A", 0, "B", 0, [[0, 1], [1, 0]]), ("C", 0, "D", 0, [[0, 1], [1, 0]])]),
+            (1, [("A", 0, "B", 0, [[1, 0], [0, -1]])]),
+            (2, [("A", 0, "B", 0, [[1, 1], [1, 0]])]),
+            (1, [("A", 0, "B", 5, [[1, 1], [1, 0]])]),
+        ],
+        ids=["unknown-piece", "fiber-to-fiber", "unused-slot", "slot-out-of-range"],
+    )
+    def test_invalid_graph_raises(self, b_boundary, edges):
+        gm = graph_from_document(
+            {
+                "pieces": [
+                    {"id": "A", "genus": 2, "boundary": 1},
+                    {"id": "B", "genus": 2, "boundary": b_boundary},
+                ],
+                "edges": [
+                    {"tail": [tail, i], "head": [head, j], "matrix": matrix}
+                    for tail, i, head, j, matrix in edges
+                ],
+            }
+        )
+        with pytest.raises(ValidationError):
+            absolute_euler_number(gm)
+
+
+class TestFilledPieceTable:
+    """The table's closed form agrees with transporting each neighbor's fiber."""
+
+    @staticmethod
+    def check(gm):
+        reference = {piece.id: [None] * piece.boundary for piece in gm.pieces}
+        for edge in gm.edges:
+            fiber = Slope(0, 1)
+            reference[edge.head[0]][edge.head[1]] = transport_slope(edge, "tail_to_head", fiber)
+            reference[edge.tail[0]][edge.tail[1]] = transport_slope(edge, "head_to_tail", fiber)
+        table = _filled_piece_table(gm)
+        assert list(table) == [piece.id for piece in gm.pieces]
+        for piece in gm.pieces:
+            framing, euler, chi = table[piece.id]
+            slopes = reference[piece.id]
+            assert framing == tuple((slope.a, slope.b) for slope in slopes)
+            assert canonical_framing(gm, piece.id) == slopes
+            filled = fill_framed_piece(piece.genus, slopes)
+            assert euler == euler_number(filled)
+            assert chi == orbifold_euler_char(filled)
+
+    def test_seeded_graphs(self):
+        for style in ("generic", "mixed", "pmj"):
+            for seed in range(300):
+                self.check(random_valid_graph(random.Random(seed), style=style))
+
+    def test_corpus(self, corpus_paths):
+        for path in corpus_paths:
+            self.check(parse_graph(path.read_bytes()))
 
 
 class TestPmJForm:

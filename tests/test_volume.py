@@ -333,13 +333,26 @@ class TestOnePass:
     def test_both_cases_are_covered(self):
         assert {case for case, _ in self.certified_graphs()} == {"e_nonzero", "e_zero_pmj"}
 
-    def test_canonical_framing_once_per_piece(self, monkeypatch):
+    def test_filled_piece_table_once_per_certificate(self, monkeypatch):
+        # The table frames every piece from the matrix entries; only the
+        # plan's filled pieces are filled, once downstairs for the tower
+        # prime and once on the cover for their Chern-Simons values.
         graphs = list(self.certified_graphs())
-        calls = self.count_calls(monkeypatch, "canonical_framing", (gmanvol.graph,))
+        tables = self.count_calls(
+            monkeypatch, "_filled_piece_table", (gmanvol.graph, gmanvol.volume)
+        )
+        framings = self.count_calls(monkeypatch, "canonical_framing", (gmanvol.graph,))
+        fillings = self.count_calls(
+            monkeypatch,
+            "filled_piece_invariants",
+            (gmanvol.graph, gmanvol.volume, gmanvol.coverings),
+        )
         for _, gm in graphs:
-            calls.clear()
-            volume_lower_bound(gm)
-            assert len(calls) == len(gm.pieces)
+            for calls in (tables, framings, fillings):
+                calls.clear()
+            plan = volume_lower_bound(gm).plan
+            assert tables == [(gm,)] and framings == []
+            assert [args[1] for args in fillings] == list(plan.fillings) * 2
 
     def test_volume_bound_verb_validates_once(self, monkeypatch, tmp_path):
         graphs = list(self.certified_graphs())
