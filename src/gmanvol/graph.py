@@ -158,8 +158,10 @@ class GraphManifold:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(sorted(self.pieces, key=attrgetter("id"))))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=_edge_sort_key)))
+        pieces = tuple(sorted(self.pieces, key=attrgetter("id")))
+        edges = tuple(sorted(self.edges, key=_edge_sort_key))
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "edges", edges)
 
     @cached_property
     def _incidence(self) -> _Incidence:
@@ -189,10 +191,9 @@ class GraphManifold:
         return tuple(sorted(self._incidence.neighbors.get(piece_id, ())))
 
 
-Direction = Literal["tail_to_head", "head_to_tail"]
-
-
-def transport_slope(edge: Edge, direction: Direction, slope: Slope) -> Slope:
+def transport_slope(
+    edge: Edge, direction: Literal["tail_to_head", "head_to_tail"], slope: Slope
+) -> Slope:
     """Carry a slope across a gluing torus, returning the canonical form."""
     if direction == "tail_to_head":
         matrix = edge.matrix
@@ -443,8 +444,8 @@ def _framing_pairs(matrix: GluingMatrix) -> tuple[tuple[int, int], tuple[int, in
 def canonical_framing(gm: GraphManifold, piece_id: str) -> list[Slope]:
     """The framing of a piece by the fibers of its neighbors, one slope per slot.
 
-    Per slot, the opposite side's fiber (0, 1) carried across the gluing torus
-    by the closed form of _filled_piece_table; an unused slot raises.
+    Per slot, the opposite side's fiber (0, 1) carried across the gluing torus by
+    the closed form of _filled_piece_table; an unused slot raises ValidationError.
     """
     slots = gm._incidence.slots
     framing = []
@@ -481,12 +482,11 @@ class _FilledPiece(NamedTuple):
 def _filled_piece_table(gm: GraphManifold) -> dict[str, _FilledPiece]:
     """Piece id -> canonical framing, and e and chi of the piece filled along it.
 
-    gm must be valid.  Each slot is one end of a torus [[a, b], [c, d]], and
-    its framing pair, the other side's fiber carried across, is (|b|, sgn(b) d)
-    at a head end and (|b|, -sgn(b) a) at a tail end: as ad - bc = -1 and
-    b != 0, a coprime filling pair (alpha, beta), alpha >= 1, with nothing to
-    check.  e = sum beta/alpha and chi = 2 - 2g - l + sum 1/alpha (l slots)
-    are summed in integers over the product of the alphas, as in seifert.
+    gm must be valid.  A slot's framing pair, the other side's fiber carried
+    across its torus [[a, b], [c, d]], is (|b|, sgn(b) d) at the head end and
+    (|b|, -sgn(b) a) at the tail end; ad - bc = -1 and b != 0 make it a coprime
+    filling pair with alpha >= 1, so nothing is checked.  e and chi are summed
+    in integers over the product of the alphas, as seifert sums them.
     """
     framings = {piece.id: [None] * piece.boundary for piece in gm.pieces}
     for edge in gm.edges:
