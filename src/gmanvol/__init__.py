@@ -29,7 +29,6 @@ from .coverings import (
 from .errors import (
     BoundaryCountTooSmall,
     CoverTooLarge,
-    DisconnectedCover,
     EhnFails,
     EmptyInput,
     FiberSlope,
@@ -92,7 +91,6 @@ __all__ = [
     "CoverTooLarge",
     "CoveredGraph",
     "CoveringCertificate",
-    "DisconnectedCover",
     "Edge",
     "EhnFails",
     "EmptyInput",

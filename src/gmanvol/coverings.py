@@ -12,7 +12,9 @@ Each gluing torus has L = q // m lifts, each with the downstairs matrix.
 Lift k of downstairs slot i sits at slot i*L + k of an unwrapped piece and
 at slot i of copy k of a replicated one.  verify_covering_certificate
 re-checks this layout: a cover end at slot s of a piece whose boundary
-count is L times its base's must lie over base slot s // L.
+count is L times its base's must lie over base slot s // L.  The builders
+take a valid graph and check only their own preconditions; the verifier
+checks every cover in full, its connectivity through validate included.
 
 characteristic_cover(gm, q)
     Every piece unwrapped at level q: a connected cover of degree q^2, for
@@ -52,7 +54,6 @@ from typing import Mapping, Sequence
 from .errors import (
     BoundaryCountTooSmall,
     CoverTooLarge,
-    DisconnectedCover,
     GmanvolError,
     NonIntegralGenus,
     NotPrime,
@@ -70,7 +71,6 @@ from .graph import (
     _expect_int,
     _expect_keys,
     _expect_list,
-    _is_connected,
     _short_repr,
     filled_piece_invariants,
     graph_from_document,
@@ -203,7 +203,10 @@ def riemann_hurwitz_genus(
 
 
 def characteristic_cover(gm: GraphManifold, q: int) -> CoveredGraph:
-    """The q-characteristic separable cover of degree q^2 (q prime)."""
+    """The q-characteristic separable cover of degree q^2 (q prime).
+
+    gm must be valid; verify_covering_certificate checks the connectivity.
+    """
     if not is_prime(q):
         raise NotPrime(f"covering order {q} is not prime")
     max_boundary = max(piece.boundary for piece in gm.pieces)
@@ -221,7 +224,10 @@ def characteristic_cover(gm: GraphManifold, q: int) -> CoveredGraph:
 
 
 def genus_raising_cover(gm: GraphManifold, center: str, q: int) -> CoveredGraph:
-    """The degree-q cover that is trivial over the center and all tori."""
+    """The degree-q cover that is trivial over the center and all tori.
+
+    gm must be valid; verify_covering_certificate checks the connectivity.
+    """
     if not is_prime(q):
         raise NotPrime(f"covering order {q} is not prime")
     try:
@@ -234,8 +240,9 @@ def genus_raising_cover(gm: GraphManifold, center: str, q: int) -> CoveredGraph:
 def _build_cover(gm: GraphManifold, q: int, unwrapped: set[str], level: int) -> CoveredGraph:
     """The cover of one plan: unwrap these pieces at level, replicate the rest.
 
-    With L = 1 lift per torus the base edges are the cover edges, so the
-    size check and the connectivity search are left out.
+    gm must be valid; verify_covering_certificate checks the connectivity.
+    With L = 1 lift per torus the base edges are the cover edges, so only
+    the size check is left out.
     """
     lifts = q // level
     order = "q" if level == q else "1"
@@ -294,13 +301,8 @@ def _build_cover(gm: GraphManifold, q: int, unwrapped: set[str], level: int) -> 
         ),
         key=lambda pair: _edge_sort_key(pair[0]),
     )
-    manifold = GraphManifold(tuple(pieces), tuple(edge for edge, _ in lifted))
-    if not _is_connected(manifold):
-        raise DisconnectedCover(
-            "genus-raising cover came out disconnected; this is a bug"
-        )
     return CoveredGraph(
-        manifold=manifold,
+        manifold=GraphManifold(tuple(pieces), tuple(edge for edge, _ in lifted)),
         certificate=certificate,
         torus_map=tuple(base_index for _, base_index in lifted),
     )

@@ -72,10 +72,6 @@ class RationalTooLong(GmanvolError):
     """An exact rational has more digits than can be printed."""
 
 
-class DisconnectedCover(GmanvolError):
-    """Internal consistency failure: a constructed cover is disconnected."""
-
-
 class EhnFails(GmanvolError):
     """No horizontal foliation exists for the filled piece."""
 

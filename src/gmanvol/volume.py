@@ -233,7 +233,9 @@ def _choose_plan(gm: GraphManifold) -> _Plan:
     """
     table = _filled_piece_table(gm)
     if any(row.euler for row in table.values()):
-        chosen = min(table, key=lambda pid: (-abs(table[pid].euler), pid))
+        # The table is in piece-id order and max keeps the first of equal
+        # keys, so ties go to the smallest id.
+        chosen = max(table, key=lambda pid: abs(table[pid].euler))
         fillings = {chosen: tuple(Slope(*pair) for pair in table[chosen].framing)}
         r = None
     else:

@@ -12,7 +12,6 @@ from gmanvol import (
     BundlePiece,
     CoveredGraph,
     CoverTooLarge,
-    DisconnectedCover,
     Edge,
     GmanvolError,
     GluingMatrix,
@@ -283,10 +282,28 @@ class TestGenusRaisingCover:
         got = covered_graph_to_document(genus_raising_cover(star, "Z", 3))
         assert canonical_json_bytes(got) == canonical_json_bytes(expected)
 
-    def test_disconnected_cover_raises(self, monkeypatch):
-        monkeypatch.setattr(gmanvol.coverings, "_is_connected", lambda gm: False)
-        with pytest.raises(DisconnectedCover):
-            genus_raising_cover(two_piece_graph([J]), "A", 3)
+    def test_disconnected_base_is_caught_by_the_verifier(self):
+        def two_pairs(tori):
+            pieces = tuple(BundlePiece(pid, 2, tori) for pid in "ABCD")
+            edges = tuple(
+                Edge((tail, slot), (head, slot), J)
+                for tail, head in (("A", "B"), ("C", "D"))
+                for slot in range(tori)
+            )
+            return GraphManifold(pieces, edges)
+
+        for build, gm, args in (
+            (genus_raising_cover, two_pairs(1), ("A", 3)),
+            (characteristic_cover, two_pairs(2), (3,)),
+        ):
+            assert validate(gm) == ["graph is not connected"]
+            cov = build(gm, *args)
+            assert verify_covering_certificate(cov, gm) == [
+                "cover graph: graph is not connected"
+            ]
+        assert not hasattr(gmanvol.coverings, "_is_connected")
+        assert not hasattr(gmanvol.errors, "DisconnectedCover")
+        assert not hasattr(gmanvol, "DisconnectedCover")
 
     def test_corpus_validates_and_connects(self, corpus_paths):
         for path in corpus_paths:
@@ -753,6 +770,10 @@ class TestOnePassCoveredDecoder:
 # private builder, kept verbatim as the reference for it.
 
 
+class DisconnectedCover(GmanvolError):
+    """Raised by ref_genus_raising_cover on a disconnected cover."""
+
+
 def ref_characteristic_cover(gm: GraphManifold, q: int) -> CoveredGraph:
     """The q-characteristic separable cover of degree q^2 (q prime)."""
     if not is_prime(q):
@@ -957,15 +978,8 @@ class TestOneCoverBuilder:
         )
         assert ("characteristic_cover", "ok") in self.check_cases(gm)
 
-    def test_disconnected_cover_matches_reference(self, monkeypatch):
-        never = lambda gm: False  # noqa: E731
-        monkeypatch.setattr(gmanvol.coverings, "_is_connected", never)
-        monkeypatch.setitem(globals(), "_is_connected", never)
-        gm = two_piece_graph([J])
-        got = cover_outcome(genus_raising_cover, gm, "A", 3)
-        assert got[0] is DisconnectedCover
-        assert got == cover_outcome(ref_genus_raising_cover, gm, "A", 3)
-        # Characteristic covers keep the base edges and run no search.
+    def test_disconnected_cover_matches_reference(self):
+        # Characteristic covers keep the base edges and never searched them.
         gm = two_piece_graph([J, J])
         assert cover_outcome(characteristic_cover, gm, 3) == cover_outcome(
             ref_characteristic_cover, gm, 3
