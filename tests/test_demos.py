@@ -50,8 +50,17 @@ def test_demo_runs(demo):
 
 
 def regenerate() -> None:
+    """Rewrite every snapshot; print the name of each one that changed."""
     SNAPSHOT_DIR.mkdir(parents=True, exist_ok=True)
+    old = {}
     for stale in SNAPSHOT_DIR.glob("*.out"):
+        old[stale.name] = stale.read_bytes()
         stale.unlink()
     for demo in DEMOS:
-        snapshot_path(demo).write_bytes(run_demo(demo))
+        path, output = snapshot_path(demo), run_demo(demo)
+        path.write_bytes(output)
+        before = old.pop(path.name, None)
+        if before != output:
+            print(f"{'changed' if before is not None else 'added'}: demos/{path.name}")
+    for name in old:
+        print(f"removed: demos/{name}")

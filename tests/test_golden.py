@@ -16,6 +16,10 @@ The same command also rewrites the demo snapshots in tests/golden/demos/
 change is intended:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints the id of every case whose exit code, stdout or stderr changed,
+and the name of every demo snapshot that changed, so an output change can
+name each of them.
 """
 
 from __future__ import annotations
@@ -268,6 +272,8 @@ def test_golden_inputs_are_committed():
 
 
 def regenerate() -> None:
+    """Rewrite inputs, cases and demo snapshots; print every case that changed."""
+    old = {case["id"]: case for case in _load_cases()} if CASES_FILE.exists() else {}
     inputs = build_inputs()
     INPUT_DIR.mkdir(parents=True, exist_ok=True)
     for stale in INPUT_DIR.glob("*.json"):
@@ -284,6 +290,12 @@ def regenerate() -> None:
     CASES_FILE.write_text(
         json.dumps(cases, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
     )
+    for case in cases:
+        before = old.pop(case["id"], None)
+        if before != case:
+            print(f"{'changed' if before else 'added'}: {case['id']}")
+    for case_id in old:
+        print(f"removed: {case_id}")
     # Imported here, like builders: the demo snapshots live in golden/ too.
     from test_demos import regenerate as regenerate_demos
 
