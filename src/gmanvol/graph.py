@@ -212,19 +212,18 @@ def validate(gm: GraphManifold) -> list[str]:
     a piece's unused slots are counted in one line instead of listed.
     """
     violations: list[str] = []
-    seen_ids: set[str] = set()
+    # Slot ranges come from the last piece of a duplicated id, unlike the
+    # incidence index, where the first one wins.
+    boundary_of: dict[str, int] = {}
     for piece in gm.pieces:
-        if piece.id in seen_ids:
+        if piece.id in boundary_of:
             violations.append(f"duplicate piece id {piece.id!r}")
-        seen_ids.add(piece.id)
+        boundary_of[piece.id] = piece.boundary
         if piece.genus < 2:
             violations.append(f"piece {piece.id!r}: genus below 2")
         if piece.boundary < 1:
             violations.append(f"piece {piece.id!r}: boundary count below 1")
 
-    # Slot ranges come from the last piece of a duplicated id, unlike the
-    # incidence index, where the first one wins.
-    boundary_of = {piece.id: piece.boundary for piece in gm.pieces}
     for index, edge in enumerate(gm.edges):
         tail_id, tail_slot = edge.tail
         head_id, head_slot = edge.head
