@@ -10,9 +10,11 @@ Verbs
 Output is canonical JSON on stdout, one document per input file, identical
 bytes on identical inputs; --pretty switches to indented rendering.  This
 module only parses flags and loops over files: the package decodes each
-file's bytes, and each failure is a GmanvolError, reported as JSON on
-stderr, whose type carries the exit code.  Exit codes: 0 success, 1
-validation failure, 2 unsupported input, 3 parse error.
+file's bytes, and each failure is a GmanvolError whose type carries the
+exit code.  It is reported on stderr as one JSON document with the keys
+error (the type's name), file (the file name exactly as given) and
+message.  Exit codes: 0 success, 1 validation failure, 2 unsupported
+input, 3 parse error.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import classify as classify_mod
 from .coverings import characteristic_cover, covered_graph_to_document, genus_raising_cover
@@ -32,7 +33,6 @@ from .serialize import _load_json, canonical_json_bytes, format_rational
 from .volume import VolumeConfig, volume_lower_bound
 
 EXIT_OK = 0
-EXIT_VALIDATION = 1
 
 
 @functools.cache
@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_common(p):
-        p.add_argument("files", nargs="+", type=Path, help="input JSON document(s)")
+        p.add_argument("files", nargs="+", help="input JSON document(s)")
         p.add_argument("--pretty", action="store_true", help="indented output")
 
     add_common(sub.add_parser("validate", help="report structural violations"))
@@ -71,20 +71,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_document(path: Path):
+def _load_document(path: str):
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as file:
+            data = file.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return _load_json(data, str(path))
+    return _load_json(data, path)
 
 
-def _run_validate(path: Path, args) -> tuple[dict | list, int]:
+def _run_validate(path: str, args) -> tuple[dict | list, int]:
     report = validate(graph_from_document(_load_document(path)))
-    return report, (EXIT_OK if not report else EXIT_VALIDATION)
+    return report, (ValidationError.exit_code if report else EXIT_OK)
 
 
-def _run_invariants(path: Path, args) -> tuple[dict, int]:
+def _run_invariants(path: str, args) -> tuple[dict, int]:
     gm = _require_valid(graph_from_document(_load_document(path)))
     table = _filled_piece_table(gm)
     pieces, absolute = {}, Fraction(0)
@@ -102,7 +103,7 @@ def _run_invariants(path: Path, args) -> tuple[dict, int]:
     return {"absolute_euler_number": format_rational(absolute), "pieces": pieces}, EXIT_OK
 
 
-def _run_cover(path: Path, args) -> tuple[dict, int]:
+def _run_cover(path: str, args) -> tuple[dict, int]:
     gm = _require_valid(graph_from_document(_load_document(path)))
     if args.mode == "characteristic":
         cov = characteristic_cover(gm, args.prime)
@@ -113,14 +114,14 @@ def _run_cover(path: Path, args) -> tuple[dict, int]:
     return covered_graph_to_document(cov), EXIT_OK
 
 
-def _run_volume_bound(path: Path, args) -> tuple[dict, int]:
+def _run_volume_bound(path: str, args) -> tuple[dict, int]:
     # volume_lower_bound validates the graph itself.
     gm = graph_from_document(_load_document(path))
     cert = volume_lower_bound(gm, VolumeConfig(alpha_bound=args.alpha_bound))
     return cert.to_document(), EXIT_OK
 
 
-def _run_classify(path: Path, args) -> tuple[dict, int]:
+def _run_classify(path: str, args) -> tuple[dict, int]:
     target = classify_mod._target_from_document(_load_document(path))
     verdict = classify_mod.mapping_degree_finiteness(target)
     return verdict.to_document(), EXIT_OK
@@ -133,13 +134,6 @@ _RUNNERS = {
     "volume-bound": _run_volume_bound,
     "classify": _run_classify,
 }
-
-
-def _error_document(exc: GmanvolError) -> dict:
-    doc = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, ValidationError):
-        doc["violations"] = exc.violations
-    return doc
 
 
 def run(argv, stdout=None, stderr=None) -> int:
@@ -155,8 +149,7 @@ def run(argv, stdout=None, stderr=None) -> int:
             document, code = runner(path, args)
             text = canonical_json_bytes(document, pretty=args.pretty).decode("utf-8")
         except GmanvolError as exc:
-            doc = _error_document(exc)
-            doc["file"] = str(path)
+            doc = {"error": type(exc).__name__, "file": path, "message": str(exc)}
             stderr.write(canonical_json_bytes(doc).decode("utf-8") + "\n")
             return exc.exit_code
         stdout.write(text + "\n")

@@ -73,8 +73,10 @@ def _load_json(data: bytes | str, name: str):
 def canonical_json_bytes(document, pretty: bool = False) -> bytes:
     """Serialize a JSON-compatible document to canonical UTF-8 bytes.
 
-    Raises RationalTooLong when an integer in the document has more digits
-    than the interpreter converts to text.
+    A lone surrogate, which UTF-8 cannot encode, is written as its \\uXXXX
+    escape, so json.loads gives back the same string.  Raises
+    RationalTooLong when an integer in the document has more digits than
+    the interpreter converts to text.
     """
     try:
         if pretty:
@@ -88,4 +90,4 @@ def canonical_json_bytes(document, pretty: bool = False) -> bytes:
             "an integer in the document has more than "
             f"{sys.get_int_max_str_digits()} digits and cannot be printed"
         ) from None
-    return text.encode("utf-8")
+    return text.encode("utf-8", "backslashreplace")

@@ -445,6 +445,56 @@ class TestExitCodesAndDeterminism:
         assert json.loads(out)["bound_pi2"] == "8"
 
 
+class TestFileNames:
+    """Every error is one document that names the file exactly as given."""
+
+    LOW_GENUS = {
+        "pieces": [{"id": "A", "genus": 1, "boundary": 1}, {"id": "B", "genus": 2, "boundary": 1}],
+        "edges": [{"tail": ["A", 0], "head": ["B", 0], "matrix": [[0, 1], [1, 0]]}],
+    }
+
+    def _error(self, argv, code, error):
+        got_code, out, err = invoke_subprocess(argv)
+        assert (got_code, out) == (code, "")
+        assert err.index("\n") == len(err) - 1
+        doc = json.loads(err)
+        assert doc.keys() == {"error", "file", "message"}
+        assert (doc["error"], doc["file"]) == (error, argv[1])
+        return doc["message"]
+
+    @pytest.mark.parametrize("name", ["./name.json", "dir//name.json"])
+    def test_name_kept_verbatim(self, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        assert self._error(["validate", name], 3, "ParseError").startswith(
+            f"cannot read {name}: "
+        )
+        (tmp_path / name).write_text("{not json")
+        assert self._error(["invariants", name], 3, "ParseError").startswith(
+            f"{name} is not valid JSON: "
+        )
+        (tmp_path / name).write_text(json.dumps(self.LOW_GENUS))
+        self._error(["invariants", name], 1, "ValidationError")
+
+    def test_trailing_slash_on_a_file(self, double_j, tmp_path):
+        path = tmp_path / "name.json"
+        path.write_bytes(double_j.read_bytes())
+        assert invoke_subprocess(["volume-bound", str(path)])[0] == 0
+        self._error(["volume-bound", f"{path}/"], 3, "ParseError")
+
+    @pytest.mark.parametrize(
+        "content, code, error",
+        [(None, 3, "ParseError"), (LOW_GENUS, 1, "ValidationError"),
+         ("{not json", 3, "ParseError")],
+        ids=["missing", "invalid-graph", "not-json"],
+    )
+    def test_name_that_is_not_utf8(self, content, code, error, tmp_path):
+        path = tmp_path / os.fsdecode(b"\xff.json")
+        if content is not None:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+        self._error(["validate" if content is None else "invariants", str(path)], code, error)
+
+
 class TestParser:
     def test_built_once(self):
         assert cli._build_parser() is cli._build_parser()
@@ -639,7 +689,7 @@ class TestHostileInputs:
             code, out, err = invoke_subprocess([argv[0], str(path), *argv[1:]])
             assert (code, out) == (1, ""), argv
             assert json.loads(err)["error"] == "ValidationError", argv
-            assert json.loads(err)["violations"] == [violation], argv
+            assert json.loads(err)["message"] == violation, argv
 
     def test_cover_genus_beyond_digit_limit(self, tmp_path):
         # A genus of 4,300 digits decodes; the genus of its cover does not print.

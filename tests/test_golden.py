@@ -260,6 +260,20 @@ def test_golden(case, monkeypatch):
     assert err.encode("utf-8") == case["stderr"].encode("utf-8")
 
 
+def test_every_error_is_one_document_of_one_shape():
+    """Each recorded stderr is empty or one line: error, file and message."""
+    wrong = [
+        case["id"]
+        for case in _load_cases()
+        if case["stderr"]
+        and not (
+            case["stderr"].find("\n") == len(case["stderr"]) - 1
+            and json.loads(case["stderr"]).keys() == {"error", "file", "message"}
+        )
+    ]
+    assert wrong == []
+
+
 def test_golden_inputs_are_committed():
     """Every input a case names exists, and every stored input is used."""
     cases = _load_cases()
