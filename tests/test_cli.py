@@ -484,15 +484,15 @@ class TestFileNames:
 
     @pytest.mark.parametrize(
         "content, code, error",
-        [(None, 3, "ParseError"), (LOW_GENUS, 1, "ValidationError"),
+        [(None, 3, "ParseError"), (json.dumps(LOW_GENUS), 1, "ValidationError"),
          ("{not json", 3, "ParseError")],
         ids=["missing", "invalid-graph", "not-json"],
     )
     def test_name_that_is_not_utf8(self, content, code, error, tmp_path):
         path = tmp_path / os.fsdecode(b"\xff.json")
         if content is not None:
-            path.write_text(content if isinstance(content, str) else json.dumps(content))
-        self._error(["validate" if content is None else "invariants", str(path)], code, error)
+            path.write_text(content)
+        self._error(["invariants", str(path)], code, error)
 
 
 class TestParser:
