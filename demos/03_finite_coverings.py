@@ -42,7 +42,7 @@ print()
 print("Tamper with a recorded genus and verification catches it:")
 record = cov.certificate.per_piece["A"]
 bad_records = dict(cov.certificate.per_piece)
-bad_records["A"] = replace(record, genus_up=record.genus_up + 1)
+bad_records["A"] = record._replace(genus_up=record.genus_up + 1)
 tampered = replace(cov, certificate=replace(cov.certificate, per_piece=bad_records))
 for line in verify_covering_certificate(tampered, two_torus):
     print("  -", line)

@@ -49,7 +49,7 @@ exact below PRIME_TEST_BOUND; a larger number raises PrimeTooLarge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     BoundaryCountTooSmall,
@@ -81,8 +81,7 @@ from .seifert import ehn_horizontal_foliation, min_genus_for_ehn
 from .serialize import _int_text
 
 
-@dataclass(frozen=True, slots=True)
-class PieceCoverRecord:
+class PieceCoverRecord(NamedTuple):
     """How one covering piece lies over its downstairs piece."""
 
     over: str
@@ -454,14 +453,7 @@ def certificate_to_document(cert: CoveringCertificate) -> dict:
         "separable": cert.separable,
         "separable_case": cert.separable_case,
         "per_piece": {
-            piece_id: {
-                "over": record.over,
-                "vertical_degree": record.vertical_degree,
-                "horizontal_degree": record.horizontal_degree,
-                "genus_up": record.genus_up,
-                "boundary_up": record.boundary_up,
-            }
-            for piece_id, record in cert.per_piece.items()
+            piece_id: record._asdict() for piece_id, record in cert.per_piece.items()
         },
     }
 
@@ -476,9 +468,7 @@ def covered_graph_to_document(cov: CoveredGraph) -> dict:
 _CERTIFICATE_KEYS = frozenset(
     ("total_degree", "characteristic_level", "separable", "separable_case", "per_piece")
 )
-_RECORD_KEYS = frozenset(
-    ("over", "vertical_degree", "horizontal_degree", "genus_up", "boundary_up")
-)
+_RECORD_KEYS = frozenset(PieceCoverRecord._fields)
 
 
 def covered_graph_from_document(doc: dict) -> CoveredGraph:
@@ -550,10 +540,4 @@ def _record_from_document(record) -> PieceCoverRecord:
     boundary_up = record["boundary_up"]
     if type(boundary_up) is not int:
         boundary_up = _expect_int(boundary_up, "boundary_up")
-    return PieceCoverRecord(
-        over=record["over"],
-        vertical_degree=vertical,
-        horizontal_degree=horizontal,
-        genus_up=genus_up,
-        boundary_up=boundary_up,
-    )
+    return PieceCoverRecord(record["over"], vertical, horizontal, genus_up, boundary_up)

@@ -33,7 +33,9 @@ edges sorted by (tail, head, matrix)):
 Slots are 0-based indices into a piece's boundary components.
 
 A document is decoded in one typed pass (graph_from_document), sharing equal
-gluing matrices; Slope, GluingMatrix, BundlePiece and Edge are slotted.
+gluing matrices.  BundlePiece and Edge are NamedTuples whose fields are the
+document keys, GluingMatrix is a NamedTuple too, and Slope is a slotted
+dataclass because it checks its entries when built.
 """
 
 from __future__ import annotations
@@ -80,8 +82,7 @@ class Slope:
         return cls(a, b)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class GluingMatrix:
+class GluingMatrix(NamedTuple):
     """2 x 2 integer matrix [[a, b], [c, d]] acting on curve coordinates."""
 
     rows: tuple[tuple[int, int], tuple[int, int]]
@@ -116,8 +117,7 @@ J = GluingMatrix.of(0, 1, 1, 0)
 MINUS_J = GluingMatrix.of(0, -1, -1, 0)
 
 
-@dataclass(frozen=True, slots=True)
-class BundlePiece:
+class BundlePiece(NamedTuple):
     """A trivial circle bundle over a genus >= 2 surface with boundary tori."""
 
     id: str
@@ -125,8 +125,7 @@ class BundlePiece:
     boundary: int
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     """A directed gluing torus between two boundary slots."""
 
     tail: tuple[str, int]
@@ -341,8 +340,8 @@ def _is_connected(gm: GraphManifold) -> bool:
 
 
 _DOCUMENT_KEYS = frozenset(("pieces", "edges", "certificate", "torus_map"))
-_PIECE_KEYS = frozenset(("id", "genus", "boundary"))
-_EDGE_KEYS = frozenset(("tail", "head", "matrix"))
+_PIECE_KEYS = frozenset(BundlePiece._fields)
+_EDGE_KEYS = frozenset(Edge._fields)
 
 
 def graph_from_document(doc) -> GraphManifold:
@@ -415,9 +414,7 @@ def parse_graph(data: bytes | str) -> GraphManifold:
 def graph_to_document(gm: GraphManifold) -> dict:
     """The JSON document of a graph, with pieces and edges in canonical order."""
     return {
-        "pieces": [
-            {"id": p.id, "genus": p.genus, "boundary": p.boundary} for p in gm.pieces
-        ],
+        "pieces": [p._asdict() for p in gm.pieces],
         "edges": [
             {
                 "tail": [e.tail[0], e.tail[1]],

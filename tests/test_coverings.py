@@ -327,7 +327,7 @@ class TestVerifyCertificate:
         gm, cov = self._cover()
         record = cov.certificate.per_piece["A"]
         tampered_records = dict(cov.certificate.per_piece)
-        tampered_records["A"] = replace(record, genus_up=record.genus_up + 1)
+        tampered_records["A"] = record._replace(genus_up=record.genus_up + 1)
         tampered = CoveredGraph(
             manifold=cov.manifold,
             certificate=replace(cov.certificate, per_piece=tampered_records),
@@ -339,7 +339,7 @@ class TestVerifyCertificate:
     def test_tampered_matrix(self):
         gm, cov = self._cover()
         edges = list(cov.manifold.edges)
-        edges[0] = replace(edges[0], matrix=M1110)
+        edges[0] = edges[0]._replace(matrix=M1110)
         tampered = CoveredGraph(
             manifold=GraphManifold(cov.manifold.pieces, tuple(edges)),
             certificate=cov.certificate,
@@ -991,7 +991,7 @@ def swap_tails(cov: CoveredGraph, first, second) -> CoveredGraph:
     lifted = []
     for edge, base_index in zip(cov.manifold.edges, cov.torus_map):
         tail = {first: second, second: first}.get(edge.tail, edge.tail)
-        lifted.append((replace(edge, tail=tail), base_index))
+        lifted.append((edge._replace(tail=tail), base_index))
     lifted.sort(key=lambda pair: _edge_sort_key(pair[0]))
     return CoveredGraph(
         manifold=GraphManifold(cov.manifold.pieces, tuple(e for e, _ in lifted)),
@@ -1036,7 +1036,7 @@ class TestSlotLifts:
         star = parse_graph(path.read_bytes())
         cov = genus_raising_cover(star, "A", 3)
         records = dict(cov.certificate.per_piece)
-        records["Z"] = replace(records["Z"], boundary_up=boundary_up)
+        records["Z"] = records["Z"]._replace(boundary_up=boundary_up)
         tampered = replace(cov, certificate=replace(cov.certificate, per_piece=records))
         report = verify_covering_certificate(tampered, star)
         assert (

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import math
 import random
@@ -14,6 +13,7 @@ from gmanvol import (
     J,
     MINUS_J,
     ParseError,
+    PieceCoverRecord,
     Slope,
     ValidationError,
     absolute_euler_number,
@@ -918,10 +918,65 @@ class TestOnePassDecoder:
         assert first is second
 
     def test_value_classes_are_slotted(self):
-        for value in (Slope(1, 0), J, BundlePiece("A", 2, 1), Edge(("A", 0), ("B", 0), J)):
+        records = (
+            J,
+            BundlePiece("A", 2, 1),
+            Edge(("A", 0), ("B", 0), J),
+            PieceCoverRecord("A", 1, 3, 4, 2),
+        )
+        for value in (Slope(1, 0), *records):
             assert not hasattr(value, "__dict__")
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(value, dataclasses.fields(value)[0].name, None)
+            with pytest.raises(AttributeError):
+                setattr(value, type(value).__match_args__[0], None)
+        # A frozen slotted dataclass raises TypeError here on CPython 3.11,
+        # so Slope is left out.
+        for value in records:
+            with pytest.raises(AttributeError):
+                value.extra = 1
+
+    def test_records_keep_repr_equality_and_order(self):
+        assert repr(BundlePiece("A", 2, 1)) == "BundlePiece(id='A', genus=2, boundary=1)"
+        assert repr(J) == "GluingMatrix(rows=((0, 1), (1, 0)))"
+        assert repr(Edge(("A", 0), ("B", 1), J)) == (
+            "Edge(tail=('A', 0), head=('B', 1), matrix=GluingMatrix(rows=((0, 1), (1, 0))))"
+        )
+        assert repr(PieceCoverRecord("A~0", 1, 3, 4, 2)) == (
+            "PieceCoverRecord(over='A~0', vertical_degree=1, horizontal_degree=3, "
+            "genus_up=4, boundary_up=2)"
+        )
+        makers = (
+            lambda: BundlePiece("A", 2, 1),
+            lambda: GluingMatrix.of(1, 1, 1, 0),
+            lambda: Edge(("A", 0), ("B", 1), GluingMatrix.of(1, 1, 1, 0)),
+            lambda: PieceCoverRecord("A~0", 1, 3, 4, 2),
+        )
+        for make in makers:
+            first, second = make(), make()
+            assert first is not second
+            assert first == second and hash(first) == hash(second)
+
+        rng = random.Random(83)
+        matrices = [random_gluing_matrix(rng) for _ in range(60)]
+        assert [m.rows for m in sorted(matrices)] == sorted(m.rows for m in matrices)
+
+        for i in range(30):
+            gm = random_valid_graph(rng, style=("generic", "pmj", "mixed")[i % 3])
+            # Edges sharing a tail, or a tail and a head, so that the head and
+            # the matrix decide the order too.
+            edges = [
+                variant
+                for edge in gm.edges
+                for variant in (
+                    edge,
+                    edge._replace(head=(edge.head[0], edge.head[1] + 1)),
+                    edge._replace(matrix=random_gluing_matrix(rng)),
+                )
+            ]
+            rng.shuffle(edges)
+            got = GraphManifold(gm.pieces, tuple(edges)).edges
+            assert [(e.tail, e.head, e.matrix.rows) for e in got] == sorted(
+                (e.tail, e.head, e.matrix.rows) for e in edges
+            )
 
     def test_validate_matches_reference_on_corrupted_graphs(self):
         rng = random.Random(79)
