@@ -9,12 +9,12 @@ Verbs
 
 Output is canonical JSON on stdout, one document per input file, identical
 bytes on identical inputs; --pretty switches to indented rendering.  This
-module only parses flags and loops over files: the package decodes each
-file's bytes, and each failure is a GmanvolError whose type carries the
-exit code.  It is reported on stderr as one JSON document with the keys
-error (the type's name), file (the file name exactly as given) and
-message.  Exit codes: 0 success, 1 validation failure, 2 unsupported
-input, 3 parse error.
+module only parses flags and loops over files: it reads at most
+MAX_INPUT_BYTES of each file, the package decodes them, and each failure
+is a GmanvolError whose type carries the exit code.  It is reported on
+stderr as one JSON document with the keys error (the type's name), file
+(the file name exactly as given) and message.  Exit codes: 0 success,
+1 validation failure, 2 unsupported input, 3 parse error.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ from .serialize import _load_json, canonical_json_bytes, format_rational
 from .volume import VolumeConfig, volume_lower_bound
 
 EXIT_OK = 0
+
+# The most bytes read from one input file.  The largest document the package
+# writes, a --pretty genus-raising cover at coverings.MAX_COVER_SIZE, is
+# about 49 MB.
+MAX_INPUT_BYTES = 64 * 2**20
 
 
 @functools.cache
@@ -74,9 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_document(path: str):
     try:
         with open(path, "rb") as file:
-            data = file.read()
+            data = file.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    if len(data) > MAX_INPUT_BYTES:
+        raise ParseError(f"input is larger than the limit of {MAX_INPUT_BYTES} bytes")
     return _load_json(data, path)
 
 

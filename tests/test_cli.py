@@ -533,6 +533,29 @@ class TestHostileInputs:
         )
         self._expect_error(["validate", str(path)], 3, "ParseError")
 
+    def test_endless_file(self):
+        got_code, out, err = invoke_subprocess(["validate", "/dev/zero"])
+        assert (got_code, out) == (3, "")
+        assert err.index("\n") == len(err) - 1
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "file": "/dev/zero",
+            "message": f"input is larger than the limit of {cli.MAX_INPUT_BYTES} bytes",
+        }
+
+    def test_size_limit_boundary(self, double_j, tmp_path, monkeypatch):
+        data = double_j.read_bytes()
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", len(data))
+        path = tmp_path / "name.json"
+        path.write_bytes(data)
+        assert invoke(["validate", str(path)]) == (0, "[]\n", "")
+        path.write_bytes(data + b" ")
+        code, out, err = invoke(["validate", str(path)])
+        assert (code, out) == (3, "")
+        assert json.loads(err)["message"] == (
+            f"input is larger than the limit of {len(data)} bytes"
+        )
+
     def test_deep_nesting(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
