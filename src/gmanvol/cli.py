@@ -81,7 +81,7 @@ def _load_document(path: str):
         with open(path, "rb") as file:
             data = file.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read: {exc.strerror or exc}") from exc
     if len(data) > MAX_INPUT_BYTES:
         raise ParseError(f"input is larger than the limit of {MAX_INPUT_BYTES} bytes")
     return _load_json(data, path)

@@ -466,8 +466,8 @@ class TestFileNames:
     def test_name_kept_verbatim(self, name, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "dir").mkdir()
-        assert self._error(["validate", name], 3, "ParseError").startswith(
-            f"cannot read {name}: "
+        assert self._error(["validate", name], 3, "ParseError") == (
+            "cannot read: No such file or directory"
         )
         (tmp_path / name).write_text("{not json")
         assert self._error(["invariants", name], 3, "ParseError").startswith(
@@ -475,6 +475,15 @@ class TestFileNames:
         )
         (tmp_path / name).write_text(json.dumps(self.LOW_GENUS))
         self._error(["invariants", name], 1, "ValidationError")
+
+    def test_read_failure_without_os_text(self, monkeypatch):
+        def failing_open(path, mode):
+            raise OSError("device gone")
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        code, out, err = invoke(["validate", "name.json"])
+        assert (code, out) == (3, "")
+        assert json.loads(err)["message"] == "cannot read: device gone"
 
     def test_trailing_slash_on_a_file(self, double_j, tmp_path):
         path = tmp_path / "name.json"
