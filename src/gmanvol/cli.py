@@ -79,7 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_document(path: str):
     try:
         with open(path, "rb") as file:
-            data = file.read(MAX_INPUT_BYTES + 1)
+            # A read of n bytes allocates n bytes first, so a small file is
+            # read without a buffer the size of the limit.
+            data = file.read(2**16)
+            if len(data) == 2**16:
+                data += file.read(MAX_INPUT_BYTES + 1 - len(data))
     except OSError as exc:
         raise ParseError(f"cannot read: {exc.strerror or exc}") from exc
     if len(data) > MAX_INPUT_BYTES:

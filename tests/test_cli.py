@@ -552,9 +552,13 @@ class TestHostileInputs:
             "message": f"input is larger than the limit of {cli.MAX_INPUT_BYTES} bytes",
         }
 
-    def test_size_limit_boundary(self, double_j, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("limit", [300, 100_000])
+    def test_size_limit_boundary(self, limit, double_j, tmp_path, monkeypatch):
+        # Trailing white space keeps the document valid.  The larger limit
+        # is past the first, short read of the file.
         data = double_j.read_bytes()
-        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", len(data))
+        data += b" " * (limit - len(data))
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", limit)
         path = tmp_path / "name.json"
         path.write_bytes(data)
         assert invoke(["validate", str(path)]) == (0, "[]\n", "")
@@ -562,7 +566,7 @@ class TestHostileInputs:
         code, out, err = invoke(["validate", str(path)])
         assert (code, out) == (3, "")
         assert json.loads(err)["message"] == (
-            f"input is larger than the limit of {len(data)} bytes"
+            f"input is larger than the limit of {limit} bytes"
         )
 
     def test_deep_nesting(self, tmp_path):
