@@ -35,8 +35,8 @@ from .volume import VolumeConfig, volume_lower_bound
 EXIT_OK = 0
 
 # The most bytes read from one input file.  The largest document the package
-# writes, a --pretty genus-raising cover at coverings.MAX_COVER_SIZE, is
-# about 49 MB.
+# writes with short piece ids, a --pretty genus-raising cover at
+# coverings.MAX_COVER_SIZE, is about 49 MB.
 MAX_INPUT_BYTES = 64 * 2**20
 
 

@@ -17,7 +17,7 @@ import pytest
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
-# Measured at 348,886 on CPython 3.11.7 (360,840 while BundlePiece, Edge,
+# Measured at 348,888 on CPython 3.11.7 (360,840 while BundlePiece, Edge,
 # GluingMatrix and PieceCoverRecord were frozen dataclasses); one more frozen
 # dataclass costs about 4,800.
 MAX_IMPORT_BYTECODES = 351_500
