@@ -22,14 +22,19 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from . import classify as classify_mod
 from .coverings import characteristic_cover, covered_graph_to_document, genus_raising_cover
 from .errors import GmanvolError, ParseError, ValidationError
-from .graph import _filled_piece_table, _require_valid, graph_from_document, validate
+from .graph import (
+    _absolute_euler,
+    _filled_piece_table,
+    _require_valid,
+    graph_from_document,
+    validate,
+)
 from .seifert import _geometry
-from .serialize import _load_json, canonical_json_bytes, format_rational
+from .serialize import _load_json, _ratio_text, canonical_json_bytes
 from .volume import VolumeConfig, volume_lower_bound
 
 EXIT_OK = 0
@@ -99,19 +104,19 @@ def _run_validate(path: str, args) -> tuple[dict | list, int]:
 def _run_invariants(path: str, args) -> tuple[dict, int]:
     gm = _require_valid(graph_from_document(_load_document(path)))
     table = _filled_piece_table(gm)
-    pieces, absolute = {}, Fraction(0)
+    pieces = {}
     for piece in gm.pieces:
-        framing, e, chi = table[piece.id]
-        absolute += abs(e)
+        framing, e, chi, den = table[piece.id]
         pieces[piece.id] = {
             "genus": piece.genus,
             "boundary": piece.boundary,
             "canonical_framing": [list(pair) for pair in framing],
-            "filled_euler_number": format_rational(e),
-            "filled_orbifold_euler_char": format_rational(chi),
+            "filled_euler_number": _ratio_text(e, den),
+            "filled_orbifold_euler_char": _ratio_text(chi, den),
             "filled_geometry": _geometry(e, chi).value,
         }
-    return {"absolute_euler_number": format_rational(absolute), "pieces": pieces}, EXIT_OK
+    absolute = _ratio_text(*_absolute_euler(table))
+    return {"absolute_euler_number": absolute, "pieces": pieces}, EXIT_OK
 
 
 def _run_cover(path: str, args) -> tuple[dict, int]:

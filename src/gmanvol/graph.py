@@ -339,6 +339,10 @@ def _is_connected(gm: GraphManifold) -> bool:
     return len(reached) == len(gm.pieces)
 
 
+# The records are built from their checked fields with tuple.__new__, as the
+# NamedTuple constructor does after one more Python call.
+_new_record = tuple.__new__
+
 _DOCUMENT_KEYS = frozenset(("pieces", "edges", "certificate", "torus_map"))
 _PIECE_KEYS = frozenset(BundlePiece._fields)
 _EDGE_KEYS = frozenset(Edge._fields)
@@ -370,15 +374,37 @@ def graph_from_document(doc) -> GraphManifold:
             genus = _expect_int(genus, "genus")
         if type(boundary) is not int:
             boundary = _expect_int(boundary, "boundary")
-        pieces.append(BundlePiece(piece_id, genus, boundary))
+        pieces.append(_new_record(BundlePiece, (piece_id, genus, boundary)))
 
     edges = []
     matrices: dict[tuple[int, int, int, int], GluingMatrix] = {}
     for raw in _expect_list(doc["edges"], "edges"):
         if not isinstance(raw, dict) or raw.keys() != _EDGE_KEYS:
             raise ParseError(f"malformed edge entry: {_short_repr(raw)}")
-        tail = _expect_end(raw["tail"])
-        head = _expect_end(raw["head"])
+        # An end [id, slot] with an ASCII id and an exact int slot passes on
+        # the type tests alone; any other end goes to _expect_end, so each
+        # message, and the order in which faults are found, is its own.
+        tail, head = raw["tail"], raw["head"]
+        if (
+            type(tail) is list
+            and len(tail) == 2
+            and type(tail[0]) is str
+            and type(tail[1]) is int
+            and tail[0].isascii()
+        ):
+            tail = tuple(tail)
+        else:
+            tail = _expect_end(tail)
+        if (
+            type(head) is list
+            and len(head) == 2
+            and type(head[0]) is str
+            and type(head[1]) is int
+            and head[0].isascii()
+        ):
+            head = tuple(head)
+        else:
+            head = _expect_end(head)
         value = raw["matrix"]
         if (
             not isinstance(value, list)
@@ -402,7 +428,7 @@ def graph_from_document(doc) -> GraphManifold:
         matrix = matrices.get(key)
         if matrix is None:
             matrix = matrices[key] = GluingMatrix(((a, b), (c, d)))
-        edges.append(Edge(tail, head, matrix))
+        edges.append(_new_record(Edge, (tail, head, matrix)))
     return GraphManifold(tuple(pieces), tuple(edges))
 
 
@@ -470,9 +496,17 @@ def filled_piece_invariants(
 
 
 class _FilledPiece(NamedTuple):
+    """One row of _filled_piece_table: e = euler / den and chi = chi / den.
+
+    den is the product of the framing's alphas, so it is positive, and
+    neither ratio is reduced: the signs of euler and chi are those of e and
+    chi, and a value is reduced only when it is printed or returned.
+    """
+
     framing: tuple[tuple[int, int], ...]
-    euler: Fraction
-    chi: Fraction
+    euler: int
+    chi: int
+    den: int
 
 
 def _filled_piece_table(gm: GraphManifold) -> dict[str, _FilledPiece]:
@@ -482,7 +516,8 @@ def _filled_piece_table(gm: GraphManifold) -> dict[str, _FilledPiece]:
     across its torus [[a, b], [c, d]], is (|b|, sgn(b) d) at the head end and
     (|b|, -sgn(b) a) at the tail end; ad - bc = -1 and b != 0 make it a coprime
     filling pair with alpha >= 1, so nothing is checked.  e and chi are summed
-    in integers over the product of the alphas, as seifert sums them.
+    in integers over the product of the alphas, as seifert sums them, and
+    kept as unreduced numerators over that product.
     """
     framings = {piece.id: [None] * piece.boundary for piece in gm.pieces}
     for edge in gm.edges:
@@ -494,14 +529,28 @@ def _filled_piece_table(gm: GraphManifold) -> dict[str, _FilledPiece]:
         euler, chi, den = 0, 2 - 2 * piece.genus - len(framing), 1
         for alpha, beta in framing:
             euler, chi, den = euler * alpha + beta * den, chi * alpha + den, den * alpha
-        table[piece.id] = _FilledPiece(framing, Fraction(euler, den), Fraction(chi, den))
+        table[piece.id] = _new_record(_FilledPiece, (framing, euler, chi, den))
     return table
+
+
+def _absolute_euler(table: dict[str, _FilledPiece]) -> tuple[int, int]:
+    """|e| = sum of |e(P)| over the table, as a numerator and a positive denominator.
+
+    The denominator is the least common multiple of the rows' denominators,
+    and the ratio is not reduced.
+    """
+    num, den = 0, 1
+    for row in table.values():
+        if row.euler:
+            g = math.gcd(den, row.den)
+            num = num * (row.den // g) + abs(row.euler) * (den // g)
+            den = den // g * row.den
+    return num, den
 
 
 def absolute_euler_number(gm: GraphManifold) -> Fraction:
     """Sum over pieces of |e| of the piece filled along its canonical framing."""
-    rows = _filled_piece_table(_require_valid(gm)).values()
-    return sum((abs(row.euler) for row in rows), Fraction(0))
+    return Fraction(*_absolute_euler(_filled_piece_table(_require_valid(gm))))
 
 
 def is_pm_j_form(gm: GraphManifold) -> bool:

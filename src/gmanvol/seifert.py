@@ -98,7 +98,9 @@ def geometry_type(inv: SeifertInvariants) -> GeometryType:
     return _geometry(euler_number(inv), orbifold_euler_char(inv))
 
 
-def _geometry(e: Fraction, chi: Fraction) -> GeometryType:
+def _geometry(e: Fraction | int, chi: Fraction | int) -> GeometryType:
+    # Only the signs are read, so e and chi may be numerators over one
+    # positive denominator.
     if chi < 0:
         return GeometryType.SL2TILDE if e != 0 else GeometryType.H2XR
     if chi == 0:
@@ -107,7 +109,12 @@ def _geometry(e: Fraction, chi: Fraction) -> GeometryType:
 
 
 def milnor_wood_check(e: int, genus: int) -> bool:
-    """Flat circle bundle test over a genus g > 0 surface: |e| <= 2g - 2."""
+    """Flat circle bundle test over a genus g > 0 surface: |e| <= 2g - 2.
+
+    e and genus must be ints (not bools), or TypeError is raised.
+    """
+    _require_int(e, "e")
+    _require_int(genus, "genus")
     if genus < 1:
         raise GenusZeroUnsupported("Milnor-Wood test requires positive genus")
     return abs(e) <= 2 * genus - 2
@@ -146,14 +153,22 @@ def min_genus_for_ehn(exceptional: Iterable[tuple[int, int]]) -> int:
 def commutator_realizable(alphas: Sequence[Fraction | int], genus: int) -> bool:
     """Can the product of shifts by the given amounts be a product of g commutators?
 
-    The criterion is strict: |alpha_1 + ... + alpha_s| < 2g - 1.
+    The criterion is strict: |alpha_1 + ... + alpha_s| < 2g - 1.  Each
+    alpha must be an int (not a bool) or a Fraction, and genus an int, or
+    TypeError is raised.
     """
+    _require_int(genus, "genus")
     if genus < 1:
         raise GenusZeroUnsupported("commutator realizability requires genus >= 1")
-    values = [Fraction(a) for a in alphas]
+    values = list(alphas)
+    for value in values:
+        if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+            raise TypeError(
+                f"translation class must be an int or a Fraction, got {type(value).__name__}"
+            )
     if not values:
         raise EmptyInput("commutator realizability needs at least one translation class")
-    return abs(sum(values, Fraction(0))) < 2 * genus - 1
+    return abs(sum(values)) < 2 * genus - 1
 
 
 def fill_framed_piece(genus: int, slopes: Sequence) -> SeifertInvariants:

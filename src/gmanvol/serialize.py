@@ -11,6 +11,7 @@ to floating point.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -24,10 +25,20 @@ def format_rational(value: Fraction | int) -> str:
     digits than the interpreter converts to text.
     """
     f = value if type(value) is Fraction else Fraction(value)
+    return _ratio_text(f.numerator, f.denominator)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """num / den (den > 0) in lowest terms, rendered as format_rational does.
+
+    Integer ratios are reduced here, when they are printed, and nowhere
+    before.
+    """
+    g = math.gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
     try:
-        if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise RationalTooLong(
             "an exact rational has more than "

@@ -66,10 +66,15 @@ from .graph import (
     Slope,
     _filled_piece_table,
     _require_valid,
-    filled_piece_invariants,
     is_pm_j_form,
 )
-from .seifert import SeifertInvariants, _require_int, ehn_horizontal_foliation, euler_number
+from .seifert import (
+    SeifertInvariants,
+    _require_int,
+    ehn_horizontal_foliation,
+    euler_number,
+    fill_framed_piece,
+)
 from .serialize import format_rational
 
 CASE_NONZERO = "e_nonzero"
@@ -232,10 +237,15 @@ def _choose_plan(gm: GraphManifold) -> _Plan:
     tori, in its own coordinates, and its canonical framing elsewhere.
     """
     table = _filled_piece_table(gm)
-    if any(row.euler for row in table.values()):
-        # The table is in piece-id order and max keeps the first of equal
-        # keys, so ties go to the smallest id.
-        chosen = max(table, key=lambda pid: abs(table[pid].euler))
+    # |e(P)| = |euler| / den, compared by cross-multiplying.  The table is in
+    # piece-id order and only a strictly larger |e(P)| replaces the best, so
+    # ties go to the smallest id; no nonzero e(P) leaves chosen as None.
+    chosen, best, best_den = None, 0, 1
+    for pid, row in table.items():
+        euler = abs(row.euler)
+        if euler * best_den > best * row.den:
+            chosen, best, best_den = pid, euler, row.den
+    if chosen is not None:
         fillings = {chosen: tuple(Slope(*pair) for pair in table[chosen].framing)}
         r = None
     else:
@@ -274,10 +284,12 @@ def volume_lower_bound(
     plan = _choose_plan(gm)
     tower = (characteristic_cover(gm, plan.q),) if plan.q > 1 else ()
     covered = tower[-1].manifold if tower else gm
-    cs = [
-        cs_of_filled_piece(filled_piece_invariants(covered, pid, slopes))
-        for pid, slopes in plan.fillings.items()
-    ]
+    # A filled piece keeps its slopes on the cover, and the tower's record
+    # gives its covered genus without indexing the cover.
+    cs = []
+    for pid, slopes in plan.fillings.items():
+        genus = tower[-1].certificate.per_piece[pid].genus_up if tower else gm.piece(pid).genus
+        cs.append(cs_of_filled_piece(fill_framed_piece(genus, slopes)))
     cs_magnitude = sum(abs(value) for value in cs)
 
     side_conditions = []

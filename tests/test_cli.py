@@ -1,9 +1,11 @@
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from gmanvol import parse_graph, verify_covering_certificate
 from gmanvol import cli, graph, seifert
 from gmanvol.cli import run
 from gmanvol.coverings import covered_graph_from_document
+from builders import random_valid_graph
 
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -91,6 +94,36 @@ class TestInvariantsVerb:
         assert doc["pieces"]["A"]["filled_euler_number"] == "-1"
         assert doc["pieces"]["A"]["canonical_framing"] == [[1, -1]]
         assert doc["pieces"]["B"]["filled_euler_number"] == "0"
+
+    def test_seeded_graphs_match_fraction_recomputation(self, tmp_path):
+        # The verb reduces the table's integer ratios only when it prints
+        # them; each value must equal the Fraction recomputed from the
+        # filled piece, and the library's |e| must equal their sum.
+        path = tmp_path / "graph.json"
+        for style in ("generic", "mixed", "pmj"):
+            for seed in range(300):
+                gm = random_valid_graph(random.Random(seed), style=style)
+                path.write_bytes(gmanvol.serialize_graph(gm))
+                pieces, total = {}, Fraction(0)
+                for piece in gm.pieces:
+                    framing = gmanvol.canonical_framing(gm, piece.id)
+                    filled = gmanvol.fill_framed_piece(piece.genus, framing)
+                    e = gmanvol.euler_number(filled)
+                    chi = gmanvol.orbifold_euler_char(filled)
+                    total += abs(e)
+                    pieces[piece.id] = {
+                        "genus": piece.genus,
+                        "boundary": piece.boundary,
+                        "canonical_framing": [[slope.a, slope.b] for slope in framing],
+                        "filled_euler_number": str(e),
+                        "filled_orbifold_euler_char": str(chi),
+                        "filled_geometry": gmanvol.geometry_type(filled).value,
+                    }
+                code, out, err = invoke(["invariants", str(path)])
+                assert (code, err) == (0, "")
+                assert json.loads(out) == {"absolute_euler_number": str(total), "pieces": pieces}
+                absolute = gmanvol.absolute_euler_number(gm)
+                assert type(absolute) is Fraction and absolute == total
 
     def test_filled_geometry_reported(self, double_j):
         code, out, _ = invoke(["invariants", str(double_j)])

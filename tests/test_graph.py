@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -507,13 +508,14 @@ class TestFilledPieceTable:
         table = _filled_piece_table(gm)
         assert list(table) == [piece.id for piece in gm.pieces]
         for piece in gm.pieces:
-            framing, euler, chi = table[piece.id]
+            framing, euler, chi, den = table[piece.id]
             slopes = reference[piece.id]
             assert framing == tuple((slope.a, slope.b) for slope in slopes)
             assert canonical_framing(gm, piece.id) == slopes
+            assert den == math.prod(alpha for alpha, _ in framing)
             filled = fill_framed_piece(piece.genus, slopes)
-            assert euler == euler_number(filled)
-            assert chi == orbifold_euler_char(filled)
+            assert Fraction(euler, den) == euler_number(filled)
+            assert Fraction(chi, den) == orbifold_euler_char(filled)
 
     def test_seeded_graphs(self):
         for style in ("generic", "mixed", "pmj"):

@@ -102,6 +102,22 @@ class TestMilnorWood:
         with pytest.raises(GenusZeroUnsupported):
             milnor_wood_check(0, 0)
 
+    @pytest.mark.parametrize(
+        "e, genus, name",
+        [
+            (2.5, 2, "e"),
+            (Fraction(1, 2), 2, "e"),
+            ("1", 2, "e"),
+            (True, 2, "e"),
+            (0, 2.0, "genus"),
+            (0, True, "genus"),
+        ],
+        ids=["float-e", "fraction-e", "str-e", "bool-e", "float-genus", "bool-genus"],
+    )
+    def test_non_int_rejected(self, e, genus, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+            milnor_wood_check(e, genus)
+
 
 class TestHorizontalFoliation:
     def test_half_fractions(self):
@@ -169,6 +185,24 @@ class TestCommutatorRealizable:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             commutator_realizable([], 1)
+
+    @pytest.mark.parametrize(
+        "alphas",
+        [[0.5, 1.25], [Fraction(1, 2), 0.5], ["1/2"], [True], [1, False], [None]],
+        ids=["floats", "fraction-and-float", "str", "true", "false", "none"],
+    )
+    def test_non_exact_translation_class_rejected(self, alphas):
+        with pytest.raises(TypeError, match="^translation class must be an int or a Fraction, got "):
+            commutator_realizable(alphas, 2)
+
+    @pytest.mark.parametrize("genus", [2.0, True, Fraction(2), "2"], ids=repr)
+    def test_non_int_genus_rejected(self, genus):
+        with pytest.raises(TypeError, match="^genus must be an int, got "):
+            commutator_realizable([1], genus)
+
+    def test_int_and_fraction_mixed(self):
+        assert commutator_realizable([1, Fraction(-1, 2)], 1) is True
+        assert commutator_realizable([1, Fraction(1, 2)], 1) is False
 
     @given(
         st.lists(

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,6 +55,7 @@ from gmanvol.volume import (
     _commutator_side_conditions,
 )
 from builders import random_valid_graph, two_piece_graph
+from test_linearity import periodic_cycle
 
 M1110 = GluingMatrix.of(1, 1, 1, 0)
 
@@ -336,23 +338,62 @@ class TestOnePass:
     def test_filled_piece_table_once_per_certificate(self, monkeypatch):
         # The table frames every piece from the matrix entries; only the
         # plan's filled pieces are filled, once downstairs for the tower
-        # prime and once on the cover for their Chern-Simons values.
+        # prime and once for their Chern-Simons values, at the covered genus
+        # that the tower's record gives, so the cover is never indexed.
         graphs = list(self.certified_graphs())
         tables = self.count_calls(
             monkeypatch, "_filled_piece_table", (gmanvol.graph, gmanvol.volume)
         )
         framings = self.count_calls(monkeypatch, "canonical_framing", (gmanvol.graph,))
         fillings = self.count_calls(
-            monkeypatch,
-            "filled_piece_invariants",
-            (gmanvol.graph, gmanvol.volume, gmanvol.coverings),
+            monkeypatch, "filled_piece_invariants", (gmanvol.graph, gmanvol.coverings)
         )
+        fills = self.count_calls(monkeypatch, "fill_framed_piece", (gmanvol.volume,))
+        towers = set()
         for _, gm in graphs:
-            for calls in (tables, framings, fillings):
+            for calls in (tables, framings, fillings, fills):
                 calls.clear()
-            plan = volume_lower_bound(gm).plan
+            cert = volume_lower_bound(gm)
+            plan = cert.plan
             assert tables == [(gm,)] and framings == []
-            assert [args[1] for args in fillings] == list(plan.fillings) * 2
+            assert [args[1] for args in fillings] == list(plan.fillings)
+            if cert.tower:
+                records = cert.tower[-1].certificate.per_piece
+                genus = {pid: records[pid].genus_up for pid in plan.fillings}
+                assert "_incidence" not in vars(cert.covered_manifold)
+            else:
+                genus = {pid: gm.piece(pid).genus for pid in plan.fillings}
+            assert fills == [(genus[pid], slopes) for pid, slopes in plan.fillings.items()]
+            towers.add(bool(cert.tower))
+        assert towers == {False, True}
+
+    def test_fractions_depend_on_the_filled_pieces_only(self):
+        # e(P) and chi stay integer ratios through the table and the plan
+        # choice; Fractions are built only for the plan's filled pieces, so
+        # their number does not grow with the graph.
+        new = Fraction.__new__.__code__
+
+        def fractions_built(gm):
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                if event == "call" and frame.f_code is new:
+                    count += 1
+
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                cert = volume_lower_bound(gm)
+            finally:
+                sys.setprofile(previous)
+            return count, cert.plan
+
+        (small, small_plan), (large, large_plan) = (
+            fractions_built(periodic_cycle(n)) for n in (100, 400)
+        )
+        assert small_plan == large_plan and small > 0
+        assert small == large
 
     def test_volume_bound_verb_validates_once(self, monkeypatch, tmp_path):
         graphs = list(self.certified_graphs())
