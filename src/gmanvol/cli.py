@@ -105,15 +105,16 @@ def _run_invariants(path: str, args) -> tuple[dict, int]:
     gm = _require_valid(graph_from_document(_load_document(path)))
     table = _filled_piece_table(gm)
     pieces = {}
-    for piece in gm.pieces:
-        framing, e, chi, den = table[piece.id]
-        pieces[piece.id] = {
-            "genus": piece.genus,
-            "boundary": piece.boundary,
-            "canonical_framing": [list(pair) for pair in framing],
+    for piece_id, genus, boundary in gm.pieces:
+        framing, e, chi, den = table[piece_id]
+        pieces[piece_id] = {
+            "genus": genus,
+            "boundary": boundary,
+            "canonical_framing": list(map(list, framing)),
             "filled_euler_number": _ratio_text(e, den),
             "filled_orbifold_euler_char": _ratio_text(chi, den),
-            "filled_geometry": _geometry(e, chi).value,
+            # _value_ is what the .value property of an enum member returns.
+            "filled_geometry": _geometry(e, chi)._value_,
         }
     absolute = _ratio_text(*_absolute_euler(table))
     return {"absolute_euler_number": absolute, "pieces": pieces}, EXIT_OK

@@ -158,7 +158,9 @@ class GraphManifold:
 
     def __post_init__(self):
         pieces = tuple(sorted(self.pieces, key=attrgetter("id")))
-        edges = tuple(sorted(self.edges, key=_edge_sort_key))
+        # An Edge is the tuple (tail, head, matrix) and a GluingMatrix the
+        # tuple (rows,), so edges sort by _edge_sort_key without building it.
+        edges = tuple(sorted(self.edges))
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "edges", edges)
 
@@ -171,8 +173,7 @@ class GraphManifold:
         pieces = {piece.id: piece for piece in reversed(self.pieces)}
         slots: dict[tuple[str, int], tuple[int, str]] = {}
         neighbors: dict[str, set[str]] = {}
-        for index, edge in enumerate(self.edges):
-            tail, head = edge.tail, edge.head
+        for index, (tail, head, _) in enumerate(self.edges):
             slots[tail] = (index, "tail")
             slots[head] = (index, "head")
             neighbors.setdefault(tail[0], set()).add(head[0])
@@ -214,18 +215,18 @@ def validate(gm: GraphManifold) -> list[str]:
     # Slot ranges come from the last piece of a duplicated id, unlike the
     # incidence index, where the first one wins.
     boundary_of: dict[str, int] = {}
-    for piece in gm.pieces:
-        if piece.id in boundary_of:
-            violations.append(f"duplicate piece id {piece.id!r}")
-        boundary_of[piece.id] = piece.boundary
-        if piece.genus < 2:
-            violations.append(f"piece {piece.id!r}: genus below 2")
-        if piece.boundary < 1:
-            violations.append(f"piece {piece.id!r}: boundary count below 1")
+    slot_count = 0
+    for piece_id, genus, boundary in gm.pieces:
+        if piece_id in boundary_of:
+            violations.append(f"duplicate piece id {piece_id!r}")
+        boundary_of[piece_id] = boundary
+        slot_count += boundary
+        if genus < 2:
+            violations.append(f"piece {piece_id!r}: genus below 2")
+        if boundary < 1:
+            violations.append(f"piece {piece_id!r}: boundary count below 1")
 
-    for index, edge in enumerate(gm.edges):
-        tail_id, tail_slot = edge.tail
-        head_id, head_slot = edge.head
+    for index, ((tail_id, tail_slot), (head_id, head_slot), matrix) in enumerate(gm.edges):
         boundary = boundary_of.get(tail_id)
         if boundary is None:
             violations.append(f"edge {index}: unknown piece id {tail_id!r} on tail")
@@ -242,7 +243,7 @@ def validate(gm: GraphManifold) -> list[str]:
             )
         if tail_id == head_id:
             violations.append(f"edge {index}: edge joins a piece to itself")
-        (a, b), (c, d) = edge.matrix.rows
+        (a, b), (c, d) = matrix.rows
         det = a * d - b * c
         if det != -1:
             violations.append(
@@ -258,9 +259,7 @@ def validate(gm: GraphManifold) -> list[str]:
     # slot in range of its piece, so when the index's distinct endpoints are
     # as many as the endpoints and as the slots, each slot is used exactly
     # once and the per-slot scan would find nothing.
-    if violations or not len(gm._incidence.slots) == 2 * len(gm.edges) == sum(
-        piece.boundary for piece in gm.pieces
-    ):
+    if violations or not len(gm._incidence.slots) == 2 * len(gm.edges) == slot_count:
         violations.extend(_slot_violations(gm))
 
     if not gm.edges:
@@ -519,17 +518,16 @@ def _filled_piece_table(gm: GraphManifold) -> dict[str, _FilledPiece]:
     in integers over the product of the alphas, as seifert sums them, and
     kept as unreduced numerators over that product.
     """
-    framings = {piece.id: [None] * piece.boundary for piece in gm.pieces}
-    for edge in gm.edges:
-        (head, h), (tail, t) = edge.head, edge.tail
-        framings[head][h], framings[tail][t] = _framing_pairs(edge.matrix)
+    framings = {piece_id: [None] * boundary for piece_id, _, boundary in gm.pieces}
+    for (tail, t), (head, h), matrix in gm.edges:
+        framings[head][h], framings[tail][t] = _framing_pairs(matrix)
     table = {}
-    for piece in gm.pieces:
-        framing = tuple(framings[piece.id])
-        euler, chi, den = 0, 2 - 2 * piece.genus - len(framing), 1
+    for piece_id, genus, boundary in gm.pieces:
+        framing = tuple(framings[piece_id])
+        euler, chi, den = 0, 2 - 2 * genus - boundary, 1
         for alpha, beta in framing:
             euler, chi, den = euler * alpha + beta * den, chi * alpha + den, den * alpha
-        table[piece.id] = _new_record(_FilledPiece, (framing, euler, chi, den))
+        table[piece_id] = _new_record(_FilledPiece, (framing, euler, chi, den))
     return table
 
 

@@ -192,11 +192,16 @@ def _commutator_side_conditions(
     """
     conditions = []
     shared: dict[str, int] = {}
-    for edge in gm.edges:
-        tail, head = edge.tail[0], edge.head[0]
-        if (tail in chosen) != (head in chosen):
-            neighbor = head if tail in chosen else tail
-            shared[neighbor] = shared.get(neighbor, 0) + 1
+    # Each torus with one side on a chosen piece is reached once, through
+    # that piece's slot; gm is valid, so every slot has its edge.
+    incidence = gm._incidence
+    for pid in chosen:
+        for slot in range(incidence.pieces[pid].boundary):
+            index, side = incidence.slots[(pid, slot)]
+            edge = gm.edges[index]
+            neighbor = (edge.tail if side == "head" else edge.head)[0]
+            if neighbor not in chosen:
+                shared[neighbor] = shared.get(neighbor, 0) + 1
     bound = config.alpha_bound
     threshold = Fraction(bound + 1, 2)
     for neighbor in sorted(shared):

@@ -19,9 +19,9 @@ from test_linearity import counted, periodic_cycle
 
 SIZE = 400
 
-# Measured at 336,617 and 356,526 (477,729 and 476,535 while the
+# Measured at 315,804 and 340,574 (477,729 and 476,535 while the
 # filled-piece table reduced two Fractions per piece).
-MAX_BYTECODES = {"invariants": 343_400, "volume-bound": 363_700}
+MAX_BYTECODES = {"invariants": 322_200, "volume-bound": 347_400}
 
 
 def verb_bytecodes(verb: str, path: str) -> int:
