@@ -371,14 +371,14 @@ class TestOnePass:
         # e(P) and chi stay integer ratios through the table and the plan
         # choice; Fractions are built only for the plan's filled pieces, so
         # their number does not grow with the graph.
-        new = Fraction.__new__.__code__
+        fraction_new = Fraction.__new__.__code__
 
         def fractions_built(gm):
             count = 0
 
             def profile(frame, event, arg):
                 nonlocal count
-                if event == "call" and frame.f_code is new:
+                if event == "call" and frame.f_code is fraction_new:
                     count += 1
 
             previous = sys.getprofile()
