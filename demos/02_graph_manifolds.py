@@ -7,7 +7,6 @@ Run as: python demos/02_graph_manifolds.py
 from gmanvol import (
     BundlePiece,
     Edge,
-    GluingMatrix,
     GraphManifold,
     J,
     Slope,
@@ -50,7 +49,7 @@ print()
 print("A generic gluing changes the picture.  With the matrix [[1,1],[1,0]]")
 generic = GraphManifold(
     (BundlePiece("A", 2, 1), BundlePiece("B", 2, 1)),
-    (Edge(("A", 0), ("B", 0), GluingMatrix.of(1, 1, 1, 0)),),
+    (Edge(("A", 0), ("B", 0), ((1, 1), (1, 0))),),
 )
 print("  framing of A:", canonical_framing(generic, "A")[0])
 print("  absolute euler number:", absolute_euler_number(generic))

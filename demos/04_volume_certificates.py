@@ -9,7 +9,6 @@ import json
 from gmanvol import (
     BundlePiece,
     Edge,
-    GluingMatrix,
     GraphManifold,
     J,
     SeifertInvariants,
@@ -30,7 +29,7 @@ print()
 
 generic = GraphManifold(
     (BundlePiece("A", 2, 1), BundlePiece("B", 2, 1)),
-    (Edge(("A", 0), ("B", 0), GluingMatrix.of(1, 1, 1, 0)),),
+    (Edge(("A", 0), ("B", 0), ((1, 1), (1, 0))),),
 )
 print("Case |e| != 0.  The single generic edge gives |e| =",
       absolute_euler_number(generic))
@@ -51,7 +50,7 @@ doc5 = cert5.to_document()
 print(f"  bound {cert5.bound} pi^2 (= 8 r at r = {cert5.plan.r})")
 print(f"  tower: characteristic cover at prime", cert5.plan.q,
       f"of degree {doc5['cover_degree']};",
-      "covered genus", cert5.covered_manifold.piece("A").genus)
+      "covered genus", cert5.tower[-1].manifold.piece("A").genus)
 print()
 
 print("The full machine-checkable certificate for the five-torus example:")

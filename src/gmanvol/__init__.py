@@ -46,7 +46,6 @@ from .errors import (
 from .graph import (
     BundlePiece,
     Edge,
-    GluingMatrix,
     GraphManifold,
     J,
     MINUS_J,
@@ -98,7 +97,6 @@ __all__ = [
     "FinitenessVerdict",
     "GenusZeroUnsupported",
     "GeometryType",
-    "GluingMatrix",
     "GmanvolError",
     "GraphManifold",
     "J",

@@ -44,6 +44,10 @@ EXIT_OK = 0
 # coverings.MAX_COVER_SIZE, is about 49 MB.
 MAX_INPUT_BYTES = 64 * 2**20
 
+# A read of n bytes allocates n bytes before it reads, so a file is read in
+# chunks of this size and not with one read the size of the limit.
+_READ_CHUNK = 2**16
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,16 +88,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_document(path: str):
     try:
         with open(path, "rb") as file:
-            # A read of n bytes allocates n bytes first, so a small file is
-            # read without a buffer the size of the limit.
-            data = file.read(2**16)
-            if len(data) == 2**16:
-                data += file.read(MAX_INPUT_BYTES + 1 - len(data))
+            # A buffered read returns a short chunk only at the end of the file.
+            chunks, size = [], 0
+            while size <= MAX_INPUT_BYTES:
+                chunk = file.read(_READ_CHUNK)
+                chunks.append(chunk)
+                size += len(chunk)
+                if len(chunk) < _READ_CHUNK:
+                    break
     except OSError as exc:
         raise ParseError(f"cannot read: {exc.strerror or exc}") from exc
-    if len(data) > MAX_INPUT_BYTES:
+    if size > MAX_INPUT_BYTES:
         raise ParseError(f"input is larger than the limit of {MAX_INPUT_BYTES} bytes")
-    return _load_json(data, path)
+    return _load_json(b"".join(chunks), path)
 
 
 def _run_validate(path: str, args) -> tuple[dict | list, int]:

@@ -67,7 +67,6 @@ from .graph import (
     GraphManifold,
     Slope,
     _DOCUMENT_KEYS,
-    _edge_sort_key,
     _expect_int,
     _expect_keys,
     _expect_list,
@@ -292,13 +291,11 @@ def _build_cover(gm: GraphManifold, q: int, unwrapped: set[str], level: int) -> 
             return (f"{piece_id}~{k}", slot)
         return (piece_id, slot * lifts + k)
 
+    # The lifted edges are distinct, so base_index never breaks a tie.
     lifted = sorted(
-        (
-            (Edge(lift_end(edge.tail, k), lift_end(edge.head, k), edge.matrix), base_index)
-            for base_index, edge in enumerate(gm.edges)
-            for k in range(lifts)
-        ),
-        key=lambda pair: _edge_sort_key(pair[0]),
+        (Edge(lift_end(edge.tail, k), lift_end(edge.head, k), edge.matrix), base_index)
+        for base_index, edge in enumerate(gm.edges)
+        for k in range(lifts)
     )
     return CoveredGraph(
         manifold=GraphManifold(tuple(pieces), tuple(edge for edge, _ in lifted)),

@@ -34,8 +34,8 @@ Slots are 0-based indices into a piece's boundary components.
 
 A document is decoded in one typed pass (graph_from_document), sharing equal
 gluing matrices.  BundlePiece and Edge are NamedTuples whose fields are the
-document keys, GluingMatrix is a NamedTuple too, and Slope is a slotted
-dataclass because it checks its entries when built.
+document keys, a gluing matrix is its tuple of rows ((a, b), (c, d)), and
+Slope is a slotted dataclass because it checks its entries when built.
 """
 
 from __future__ import annotations
@@ -82,39 +82,8 @@ class Slope:
         return cls(a, b)
 
 
-class GluingMatrix(NamedTuple):
-    """2 x 2 integer matrix [[a, b], [c, d]] acting on curve coordinates."""
-
-    rows: tuple[tuple[int, int], tuple[int, int]]
-
-    @classmethod
-    def of(cls, a: int, b: int, c: int, d: int) -> "GluingMatrix":
-        return cls(((a, b), (c, d)))
-
-    @property
-    def det(self) -> int:
-        (a, b), (c, d) = self.rows
-        return a * d - b * c
-
-    def apply(self, x: int, y: int) -> tuple[int, int]:
-        (a, b), (c, d) = self.rows
-        return a * x + b * y, c * x + d * y
-
-    def inverse(self) -> "GluingMatrix":
-        (a, b), (c, d) = self.rows
-        if self.det == 1:
-            return GluingMatrix(((d, -b), (-c, a)))
-        if self.det == -1:
-            return GluingMatrix(((-d, b), (c, -a)))
-        raise ValueError(f"matrix with determinant {self.det} is not invertible over Z")
-
-    @property
-    def is_pm_j(self) -> bool:
-        return self.rows == ((0, 1), (1, 0)) or self.rows == ((0, -1), (-1, 0))
-
-
-J = GluingMatrix.of(0, 1, 1, 0)
-MINUS_J = GluingMatrix.of(0, -1, -1, 0)
+J = ((0, 1), (1, 0))
+MINUS_J = ((0, -1), (-1, 0))
 
 
 class BundlePiece(NamedTuple):
@@ -130,10 +99,7 @@ class Edge(NamedTuple):
 
     tail: tuple[str, int]
     head: tuple[str, int]
-    matrix: GluingMatrix
-
-
-_edge_sort_key = attrgetter("tail", "head", "matrix.rows")
+    matrix: tuple[tuple[int, int], tuple[int, int]]
 
 
 class _Incidence(NamedTuple):
@@ -158,8 +124,8 @@ class GraphManifold:
 
     def __post_init__(self):
         pieces = tuple(sorted(self.pieces, key=attrgetter("id")))
-        # An Edge is the tuple (tail, head, matrix) and a GluingMatrix the
-        # tuple (rows,), so edges sort by _edge_sort_key without building it.
+        # An Edge is the tuple (tail, head, matrix), so edges sort in the
+        # (tail, head, matrix) order of the exchange format.
         edges = tuple(sorted(self.edges))
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "edges", edges)
@@ -195,14 +161,18 @@ def transport_slope(
     edge: Edge, direction: Literal["tail_to_head", "head_to_tail"], slope: Slope
 ) -> Slope:
     """Carry a slope across a gluing torus, returning the canonical form."""
+    (a, b), (c, d) = edge.matrix
+    x, y = slope.a, slope.b
     if direction == "tail_to_head":
-        matrix = edge.matrix
-    elif direction == "head_to_tail":
-        matrix = edge.matrix.inverse()
-    else:
+        return Slope.canonical(a * x + b * y, c * x + d * y)
+    if direction != "head_to_tail":
         raise ValueError(f"unknown transport direction {direction!r}")
-    x, y = matrix.apply(slope.a, slope.b)
-    return Slope.canonical(x, y)
+    det = a * d - b * c
+    if det not in (1, -1):
+        raise ValueError(f"matrix with determinant {det} is not invertible over Z")
+    # The inverse is det times [[d, -b], [-c, a]], and a slope negated is
+    # the same slope.
+    return Slope.canonical(d * x - b * y, a * y - c * x)
 
 
 def validate(gm: GraphManifold) -> list[str]:
@@ -243,7 +213,7 @@ def validate(gm: GraphManifold) -> list[str]:
             )
         if tail_id == head_id:
             violations.append(f"edge {index}: edge joins a piece to itself")
-        (a, b), (c, d) = matrix.rows
+        (a, b), (c, d) = matrix
         det = a * d - b * c
         if det != -1:
             violations.append(
@@ -376,7 +346,7 @@ def graph_from_document(doc) -> GraphManifold:
         pieces.append(_new_record(BundlePiece, (piece_id, genus, boundary)))
 
     edges = []
-    matrices: dict[tuple[int, int, int, int], GluingMatrix] = {}
+    matrices: dict[tuple[int, int, int, int], tuple] = {}
     for raw in _expect_list(doc["edges"], "edges"):
         if not isinstance(raw, dict) or raw.keys() != _EDGE_KEYS:
             raise ParseError(f"malformed edge entry: {_short_repr(raw)}")
@@ -426,7 +396,7 @@ def graph_from_document(doc) -> GraphManifold:
         key = (a, b, c, d)
         matrix = matrices.get(key)
         if matrix is None:
-            matrix = matrices[key] = GluingMatrix(((a, b), (c, d)))
+            matrix = matrices[key] = ((a, b), (c, d))
         edges.append(_new_record(Edge, (tail, head, matrix)))
     return GraphManifold(tuple(pieces), tuple(edges))
 
@@ -444,7 +414,7 @@ def graph_to_document(gm: GraphManifold) -> dict:
             {
                 "tail": [e.tail[0], e.tail[1]],
                 "head": [e.head[0], e.head[1]],
-                "matrix": [list(e.matrix.rows[0]), list(e.matrix.rows[1])],
+                "matrix": [list(e.matrix[0]), list(e.matrix[1])],
             }
             for e in gm.edges
         ],
@@ -456,9 +426,9 @@ def serialize_graph(gm: GraphManifold) -> bytes:
     return canonical_json_bytes(graph_to_document(gm))
 
 
-def _framing_pairs(matrix: GluingMatrix) -> tuple[tuple[int, int], tuple[int, int]]:
+def _framing_pairs(matrix: tuple) -> tuple[tuple[int, int], tuple[int, int]]:
     """Framing pairs of an edge's head and tail slots (see _filled_piece_table)."""
-    (a, b), (_, d) = matrix.rows
+    (a, b), (_, d) = matrix
     return ((b, d), (b, -a)) if b >= 0 else ((-b, -d), (-b, a))
 
 
@@ -553,7 +523,7 @@ def absolute_euler_number(gm: GraphManifold) -> Fraction:
 
 def is_pm_j_form(gm: GraphManifold) -> bool:
     """True when every gluing matrix is the swap J or its negative."""
-    return all(edge.matrix.is_pm_j for edge in gm.edges)
+    return all(edge.matrix in (J, MINUS_J) for edge in gm.edges)
 
 
 _SHORT_REPR_LENGTH = 80

@@ -51,7 +51,7 @@ Euler number has magnitude r, the combined connection has
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coverings import (
@@ -125,7 +125,8 @@ class VolumeCertificate:
 
     The asserted statement is SV(cover) >= bound * pi^2, with bound an exact
     Fraction.  The cover applies the tower (left to right) to the input: the
-    characteristic cover at prime plan.q, or nothing when plan.q is 1.
+    characteristic cover at prime plan.q, or nothing when plan.q is 1.  So
+    the cover is tower[-1].manifold, or the input when the tower is empty.
     to_document derives the case, the cover degree, the chosen piece or
     pair and the slot-keyed filling slopes from the plan.
     """
@@ -134,7 +135,6 @@ class VolumeCertificate:
     tower: tuple[CoveredGraph, ...]
     bound: Fraction
     side_conditions: tuple[dict, ...]
-    covered_manifold: GraphManifold = field(repr=False)
 
     def to_document(self) -> dict:
         fillings, r = self.plan.fillings, self.plan.r
@@ -288,7 +288,6 @@ def volume_lower_bound(
     _require_valid(gm)
     plan = _choose_plan(gm)
     tower = (characteristic_cover(gm, plan.q),) if plan.q > 1 else ()
-    covered = tower[-1].manifold if tower else gm
     # A filled piece keeps its slopes on the cover, and the tower's record
     # gives its covered genus without indexing the cover.
     cs = []
@@ -329,5 +328,4 @@ def volume_lower_bound(
         tower=tower,
         bound=gv_of_certified_connection(cs_magnitude),
         side_conditions=tuple(side_conditions),
-        covered_manifold=covered,
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from gmanvol import BundlePiece, Edge, GluingMatrix, GraphManifold, J, MINUS_J
+from gmanvol import BundlePiece, Edge, GraphManifold, J, MINUS_J
 
 
 def two_piece_graph(matrices, genus_a=2, genus_b=2) -> GraphManifold:
@@ -28,14 +28,14 @@ def cycle_graph(matrices, genera) -> GraphManifold:
     return GraphManifold(pieces, edges)
 
 
-def random_gluing_matrix(rng: random.Random) -> GluingMatrix:
-    """A determinant -1 integer matrix with nonzero upper-right entry."""
+def random_gluing_matrix(rng: random.Random) -> tuple:
+    """The rows of a determinant -1 integer matrix with nonzero upper-right entry."""
     while True:
         a = rng.randint(-3, 3)
         b = rng.choice([-3, -2, -1, 1, 2, 3])
         d = rng.randint(-3, 3)
         if (a * d + 1) % b == 0:
-            return GluingMatrix.of(a, b, (a * d + 1) // b, d)
+            return ((a, b), ((a * d + 1) // b, d))
 
 
 def random_cycle_graph(rng: random.Random) -> GraphManifold:
@@ -57,12 +57,12 @@ def random_valid_graph(rng: random.Random, style: str = "generic") -> GraphManif
     genera = [rng.randint(2, 4) for _ in range(n)]
     incidence = [[] for _ in range(n)]
 
-    def matrix() -> GluingMatrix:
+    def matrix() -> tuple:
         if style == "pmj" or (style == "mixed" and rng.random() < 0.5):
             return rng.choice([J, MINUS_J])
         return random_gluing_matrix(rng)
 
-    links: list[tuple[int, int, GluingMatrix]] = []
+    links: list[tuple[int, int, tuple]] = []
     for i in range(1, n):
         links.append((rng.randrange(i), i, matrix()))
     for _ in range(rng.randint(0, 3)):

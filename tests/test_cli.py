@@ -585,10 +585,11 @@ class TestHostileInputs:
             "message": f"input is larger than the limit of {cli.MAX_INPUT_BYTES} bytes",
         }
 
-    @pytest.mark.parametrize("limit", [300, 100_000])
+    @pytest.mark.parametrize("limit", [300, 100_000, 3 * 2**16])
     def test_size_limit_boundary(self, limit, double_j, tmp_path, monkeypatch):
-        # Trailing white space keeps the document valid.  The larger limit
-        # is past the first, short read of the file.
+        # Trailing white space keeps the document valid.  The larger limits
+        # are past the first read of the file, and the largest spans several
+        # reads and ends on a read's boundary.
         data = double_j.read_bytes()
         data += b" " * (limit - len(data))
         monkeypatch.setattr(cli, "MAX_INPUT_BYTES", limit)
@@ -601,6 +602,33 @@ class TestHostileInputs:
         assert json.loads(err)["message"] == (
             f"input is larger than the limit of {limit} bytes"
         )
+
+    def test_reads_are_bounded(self, double_j, tmp_path, monkeypatch):
+        # A read of n bytes allocates n bytes before it reads, so a file
+        # larger than one read is read in pieces of at most 64 KiB.
+        path = tmp_path / "name.json"
+        path.write_bytes(double_j.read_bytes() + b" " * 5 * 2**15)
+        sizes = []
+
+        class RecordingFile:
+            def __init__(self, file):
+                self.file = file
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def read(self, size=-1):
+                sizes.append(size)
+                return self.file.read(size)
+
+        monkeypatch.setattr(
+            cli, "open", lambda *args: RecordingFile(open(*args)), raising=False
+        )
+        assert invoke(["validate", str(path)]) == (0, "[]\n", "")
+        assert len(sizes) >= 3 and all(0 < size <= 2**16 for size in sizes), sizes
 
     def test_deep_nesting(self, tmp_path):
         path = tmp_path / "deep.json"

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from operator import attrgetter
 
 import pytest
 
@@ -14,7 +15,6 @@ from gmanvol import (
     CoverTooLarge,
     Edge,
     GmanvolError,
-    GluingMatrix,
     GraphManifold,
     J,
     NonIntegralGenus,
@@ -47,7 +47,7 @@ from gmanvol.coverings import (
     is_prime,
     next_prime_above,
 )
-from gmanvol.graph import _edge_sort_key, _is_connected
+from gmanvol.graph import _is_connected
 from gmanvol.serialize import canonical_json_bytes
 from builders import random_cycle_graph, random_valid_graph, two_piece_graph
 from test_graph import (
@@ -61,7 +61,10 @@ from test_graph import (
     ref_short_repr,
 )
 
-M1110 = GluingMatrix.of(1, 1, 1, 0)
+M1110 = ((1, 1), (1, 0))
+
+# The canonical edge order of the exchange format, as a key on one edge.
+_edge_sort_key = attrgetter("tail", "head", "matrix")
 
 
 def trial_division_is_prime(n: int) -> bool:

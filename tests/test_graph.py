@@ -9,7 +9,6 @@ import pytest
 from gmanvol import (
     BundlePiece,
     Edge,
-    GluingMatrix,
     GraphManifold,
     J,
     MINUS_J,
@@ -34,7 +33,7 @@ from gmanvol import (
 from gmanvol.graph import _filled_piece_table, _is_connected
 from builders import random_gluing_matrix, random_valid_graph, two_piece_graph
 
-M1110 = GluingMatrix.of(1, 1, 1, 0)
+M1110 = ((1, 1), (1, 0))
 
 
 def primitive_slopes(rng: random.Random, count: int) -> list[Slope]:
@@ -44,6 +43,12 @@ def primitive_slopes(rng: random.Random, count: int) -> list[Slope]:
         if (a, b) != (0, 0) and math.gcd(abs(a), abs(b)) == 1:
             slopes.append(Slope.canonical(a, b))
     return slopes
+
+
+def inverse(matrix):
+    """The inverse of a determinant -1 matrix, as its rows."""
+    (a, b), (c, d) = matrix
+    return ((-d, b), (c, -a))
 
 
 class TestSlope:
@@ -62,24 +67,6 @@ class TestSlope:
             Slope(-1, 2)
 
 
-class TestGluingMatrix:
-    def test_inverse_of_det_minus_one(self):
-        assert M1110.inverse().rows == ((0, 1), (1, -1))
-        assert J.inverse() == J
-
-    def test_inverse_roundtrip(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            m = random_gluing_matrix(rng)
-            inv = m.inverse()
-            x, y = rng.randint(-9, 9), rng.randint(-9, 9)
-            assert inv.apply(*m.apply(x, y)) == (x, y)
-
-    def test_pm_j_detection(self):
-        assert J.is_pm_j and MINUS_J.is_pm_j
-        assert not M1110.is_pm_j
-
-
 class TestTransport:
     def test_swap_sends_fiber_to_section(self):
         edge = Edge(("A", 0), ("B", 0), J)
@@ -92,17 +79,29 @@ class TestTransport:
     def test_backward_1110(self):
         edge = Edge(("A", 0), ("B", 0), M1110)
         assert transport_slope(edge, "head_to_tail", Slope(0, 1)) == Slope(1, -1)
+        # The inverse of M1110 is [[0, 1], [1, -1]], and J is its own inverse.
+        assert transport_slope(edge, "head_to_tail", Slope(1, 0)) == Slope(0, 1)
+        assert transport_slope(edge, "head_to_tail", Slope(1, 1)) == Slope(1, 0)
+        swap = Edge(("A", 0), ("B", 0), J)
+        assert transport_slope(swap, "head_to_tail", Slope(1, 2)) == Slope(2, 1)
 
     def test_round_trip_many_slopes(self):
         rng = random.Random(11)
-        edges = [
-            Edge(("A", 0), ("B", 0), random_gluing_matrix(rng)) for _ in range(10)
-        ]
+        # Seeded determinant -1 matrices and one of determinant +1.
+        matrices = [random_gluing_matrix(rng) for _ in range(10)] + [((2, 1), (1, 1))]
+        edges = [Edge(("A", 0), ("B", 0), matrix) for matrix in matrices]
         for slope in primitive_slopes(rng, 100):
             for edge in edges:
                 there = transport_slope(edge, "tail_to_head", slope)
-                back = transport_slope(edge, "head_to_tail", there)
-                assert back == slope
+                assert transport_slope(edge, "head_to_tail", there) == slope
+                back = transport_slope(edge, "head_to_tail", slope)
+                assert transport_slope(edge, "tail_to_head", back) == slope
+
+    def test_not_invertible_over_z(self):
+        edge = Edge(("A", 0), ("B", 0), ((1, 1), (-1, 1)))
+        with pytest.raises(ValueError) as excinfo:
+            transport_slope(edge, "head_to_tail", Slope(0, 1))
+        assert str(excinfo.value) == "matrix with determinant 2 is not invertible over Z"
 
     def test_unknown_direction(self):
         edge = Edge(("A", 0), ("B", 0), J)
@@ -126,11 +125,11 @@ class TestValidate:
         assert any("genus below 2" in v for v in validate(gm))
 
     def test_wrong_determinant(self):
-        gm = two_piece_graph([GluingMatrix.of(1, 1, 0, 1)])
+        gm = two_piece_graph([((1, 1), (0, 1))])
         assert any("determinant" in v for v in validate(gm))
 
     def test_fiber_to_fiber(self):
-        gm = two_piece_graph([GluingMatrix.of(1, 0, 0, -1)])
+        gm = two_piece_graph([((1, 0), (0, -1))])
         assert any("minimality" in v for v in validate(gm))
 
     def test_slot_misuse(self):
@@ -438,7 +437,7 @@ class TestAbsoluteEulerNumber:
             k = rng.randrange(len(gm.edges))
             edges = list(gm.edges)
             edge = edges[k]
-            edges[k] = Edge(edge.head, edge.tail, edge.matrix.inverse())
+            edges[k] = Edge(edge.head, edge.tail, inverse(edge.matrix))
             reversed_gm = GraphManifold(gm.pieces, tuple(edges))
             assert validate(reversed_gm) == []
             assert absolute_euler_number(reversed_gm) == base
@@ -621,7 +620,7 @@ def ref_expect_encodable(piece_id: str) -> str:
     return piece_id
 
 
-def ref_expect_matrix(value) -> GluingMatrix:
+def ref_expect_matrix(value) -> tuple:
     if (
         not isinstance(value, list)
         or len(value) != 2
@@ -629,11 +628,9 @@ def ref_expect_matrix(value) -> GluingMatrix:
     ):
         raise ParseError(f"malformed gluing matrix: {ref_short_repr(value)}")
     (a, b), (c, d) = value
-    return GluingMatrix.of(
-        ref_expect_int(a, "matrix entry"),
-        ref_expect_int(b, "matrix entry"),
-        ref_expect_int(c, "matrix entry"),
-        ref_expect_int(d, "matrix entry"),
+    return (
+        (ref_expect_int(a, "matrix entry"), ref_expect_int(b, "matrix entry")),
+        (ref_expect_int(c, "matrix entry"), ref_expect_int(d, "matrix entry")),
     )
 
 
@@ -663,12 +660,13 @@ def ref_validate(gm: GraphManifold) -> list[str]:
             usage[(pid, slot)] = usage.get((pid, slot), 0) + 1
         if edge.tail[0] == edge.head[0]:
             violations.append(f"edge {index}: edge joins a piece to itself")
-        det = edge.matrix.det
+        (a, b), (c, d) = edge.matrix
+        det = a * d - b * c
         if det != -1:
             violations.append(
                 f"edge {index}: determinant of gluing matrix is {det}, not -1"
             )
-        if edge.matrix.rows[0][1] == 0:
+        if b == 0:
             violations.append(
                 f"edge {index}: minimality violated, the fiber maps to a fiber "
                 "(upper-right entry is 0)"
@@ -786,9 +784,9 @@ def broken_graph(gm, rng):
     if kind == "drop-edge":
         del edges[i]
     elif kind == "det":
-        edges[i] = Edge(edge.tail, edge.head, GluingMatrix.of(1, 1, 0, 1))
+        edges[i] = Edge(edge.tail, edge.head, ((1, 1), (0, 1)))
     elif kind == "fiber":
-        edges[i] = Edge(edge.tail, edge.head, GluingMatrix.of(1, 0, 0, -1))
+        edges[i] = Edge(edge.tail, edge.head, ((1, 0), (0, -1)))
     elif kind == "genus":
         pieces[victim] = BundlePiece(piece.id, rng.choice((-1, 0, 1)), piece.boundary)
     elif kind == "boundary":
@@ -866,7 +864,7 @@ class TestOnePassDecoder:
         gm = graph_from_document(doc)
         assert type(gm.pieces[0].genus) is SubInt
         assert type(gm.edges[0].head[1]) is SubInt
-        assert type(gm.edges[0].matrix.rows[1][0]) is SubInt
+        assert type(gm.edges[0].matrix[1][0]) is SubInt
         assert gm == ref_graph_from_document(doc)
 
     def test_first_error_in_check_order(self):
@@ -921,7 +919,6 @@ class TestOnePassDecoder:
 
     def test_value_classes_are_slotted(self):
         records = (
-            J,
             BundlePiece("A", 2, 1),
             Edge(("A", 0), ("B", 0), J),
             PieceCoverRecord("A", 1, 3, 4, 2),
@@ -938,9 +935,9 @@ class TestOnePassDecoder:
 
     def test_records_keep_repr_equality_and_order(self):
         assert repr(BundlePiece("A", 2, 1)) == "BundlePiece(id='A', genus=2, boundary=1)"
-        assert repr(J) == "GluingMatrix(rows=((0, 1), (1, 0)))"
+        assert (J, MINUS_J) == (((0, 1), (1, 0)), ((0, -1), (-1, 0)))
         assert repr(Edge(("A", 0), ("B", 1), J)) == (
-            "Edge(tail=('A', 0), head=('B', 1), matrix=GluingMatrix(rows=((0, 1), (1, 0))))"
+            "Edge(tail=('A', 0), head=('B', 1), matrix=((0, 1), (1, 0)))"
         )
         assert repr(PieceCoverRecord("A~0", 1, 3, 4, 2)) == (
             "PieceCoverRecord(over='A~0', vertical_degree=1, horizontal_degree=3, "
@@ -948,8 +945,7 @@ class TestOnePassDecoder:
         )
         makers = (
             lambda: BundlePiece("A", 2, 1),
-            lambda: GluingMatrix.of(1, 1, 1, 0),
-            lambda: Edge(("A", 0), ("B", 1), GluingMatrix.of(1, 1, 1, 0)),
+            lambda: Edge(("A", 0), ("B", 1), ((1, 1), (1, 0))),
             lambda: PieceCoverRecord("A~0", 1, 3, 4, 2),
         )
         for make in makers:
@@ -958,9 +954,6 @@ class TestOnePassDecoder:
             assert first == second and hash(first) == hash(second)
 
         rng = random.Random(83)
-        matrices = [random_gluing_matrix(rng) for _ in range(60)]
-        assert [m.rows for m in sorted(matrices)] == sorted(m.rows for m in matrices)
-
         for i in range(30):
             gm = random_valid_graph(rng, style=("generic", "pmj", "mixed")[i % 3])
             # Edges sharing a tail, or a tail and a head, so that the head and
@@ -976,8 +969,8 @@ class TestOnePassDecoder:
             ]
             rng.shuffle(edges)
             got = GraphManifold(gm.pieces, tuple(edges)).edges
-            assert [(e.tail, e.head, e.matrix.rows) for e in got] == sorted(
-                (e.tail, e.head, e.matrix.rows) for e in edges
+            assert [(e.tail, e.head, e.matrix) for e in got] == sorted(
+                (e.tail, e.head, e.matrix) for e in edges
             )
 
     def test_validate_matches_reference_on_corrupted_graphs(self):

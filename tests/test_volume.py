@@ -10,7 +10,6 @@ import pytest
 
 from gmanvol import (
     BoundaryCountTooSmall,
-    GluingMatrix,
     J,
     MINUS_J,
     BundlePiece,
@@ -57,12 +56,17 @@ from gmanvol.volume import (
 from builders import random_valid_graph, two_piece_graph
 from test_linearity import periodic_cycle
 
-M1110 = GluingMatrix.of(1, 1, 1, 0)
+M1110 = ((1, 1), (1, 0))
 
 
-def recheck_foliation_at_tower_stage(cert):
+def covered_manifold(cert, base):
+    """The manifold the certificate's bound is about: the tower's last cover of base."""
+    return cert.tower[-1].manifold if cert.tower else base
+
+
+def recheck_foliation_at_tower_stage(cert, base):
     """Re-derive the foliation precondition on the final covered manifold."""
-    final = cert.covered_manifold
+    final = covered_manifold(cert, base)
     for pid, slopes in cert.plan.fillings.items():
         assert ehn_horizontal_foliation(filled_piece_invariants(final, pid, slopes))
 
@@ -73,7 +77,9 @@ def recheck_tower_certificates(cert, base):
     for stage in cert.tower:
         assert verify_covering_certificate(stage, stage_base) == []
         stage_base = stage.manifold
-    assert cert.covered_manifold == stage_base
+    if cert.tower:
+        # The tower is the characteristic cover at the plan's prime.
+        assert characteristic_cover(base, cert.plan.q).manifold == stage_base
 
 
 def filled_euler_pair(cert):
@@ -118,18 +124,18 @@ class TestCase1:
         assert list(cert.plan.fillings) == ["A"] and cert.plan.r is None
         assert cert.bound == 8
         assert cert.to_document()["cover_degree"] == 1 and cert.tower == ()
-        recheck_foliation_at_tower_stage(cert)
+        recheck_foliation_at_tower_stage(cert, gm)
 
     def test_mixed_pair_of_edges(self):
         gm = two_piece_graph([M1110, J])
         cert = volume_lower_bound(gm)
         assert cert.bound == 4
-        recheck_foliation_at_tower_stage(cert)
+        recheck_foliation_at_tower_stage(cert, gm)
 
     def test_tower_emitted_when_needed(self):
         # Framing slope (1, -5) on both slots of A fails the foliation test
         # at genus 2 and needs the q = 3 cover (genus 6).
-        m = GluingMatrix.of(5, 1, 1, 0)  # inverse sends (0,1) to (1,-5)
+        m = ((5, 1), (1, 0))  # inverse sends (0,1) to (1,-5)
         gm = two_piece_graph([m, m])
         assert canonical_framing(gm, "A") == [Slope(1, -5), Slope(1, -5)]
         cert = volume_lower_bound(gm)
@@ -137,15 +143,15 @@ class TestCase1:
         assert cert.bound == 40
         assert cert.to_document()["cover_degree"] == 9
         assert cert.tower[0].certificate.characteristic_level == 3
-        assert cert.covered_manifold.piece("A").genus == 6
-        recheck_foliation_at_tower_stage(cert)
+        assert cert.tower[-1].manifold.piece("A").genus == 6
+        recheck_foliation_at_tower_stage(cert, gm)
         recheck_tower_certificates(cert, gm)
 
     def test_bound_matches_recomputation_upstairs(self):
-        m = GluingMatrix.of(5, 1, 1, 0)
+        m = ((5, 1), (1, 0))
         gm = two_piece_graph([m, m])
         cert = volume_lower_bound(gm)
-        final = cert.covered_manifold
+        final = cert.tower[-1].manifold
         up = euler_number(filled_piece_invariants(final, "A", cert.plan.fillings["A"]))
         assert cert.bound == 4 * abs(up)
 
@@ -181,11 +187,12 @@ class TestCase2Pair:
 
 class TestCase2Bound:
     def test_single_swap(self):
-        cert = volume_lower_bound(two_piece_graph([J]))
+        gm = two_piece_graph([J])
+        cert = volume_lower_bound(gm)
         assert cert.bound == 8
         assert cert.plan.r == 1
         assert cert.to_document()["cover_degree"] == 1
-        recheck_foliation_at_tower_stage(cert)
+        recheck_foliation_at_tower_stage(cert, gm)
 
     def test_five_parallel_swaps(self):
         gm = two_piece_graph([J] * 5)
@@ -193,15 +200,15 @@ class TestCase2Bound:
         assert cert.bound == 40
         assert cert.to_document()["cover_degree"] == 49
         assert cert.tower[0].certificate.characteristic_level == 7
-        assert cert.covered_manifold.piece("A").genus == 23
-        recheck_foliation_at_tower_stage(cert)
+        assert cert.tower[-1].manifold.piece("A").genus == 23
+        recheck_foliation_at_tower_stage(cert, gm)
         recheck_tower_certificates(cert, gm)
 
     def test_pmj_required(self):
         # Filled Euler numbers 1/2 - 1/2 cancel on both sides, so the
         # absolute Euler number vanishes without the matrices being swaps.
         gm = two_piece_graph(
-            [GluingMatrix.of(1, 2, 1, 1), GluingMatrix.of(-1, 2, 1, -1)]
+            [((1, 2), (1, 1)), ((-1, 2), (1, -1))]
         )
         assert absolute_euler_number(gm) == 0
         with pytest.raises(PMJFormRequired):
@@ -360,7 +367,7 @@ class TestOnePass:
             if cert.tower:
                 records = cert.tower[-1].certificate.per_piece
                 genus = {pid: records[pid].genus_up for pid in plan.fillings}
-                assert "_incidence" not in vars(cert.covered_manifold)
+                assert "_incidence" not in vars(cert.tower[-1].manifold)
             else:
                 genus = {pid: gm.piece(pid).genus for pid in plan.fillings}
             assert fills == [(genus[pid], slopes) for pid, slopes in plan.fillings.items()]
@@ -636,7 +643,7 @@ def certificate_outcome(build, gm, config=None):
         cert = build(gm, config)
     except GmanvolError as exc:
         return type(exc), str(exc)
-    return canonical_json_bytes(cert.to_document()), cert.covered_manifold
+    return canonical_json_bytes(cert.to_document()), covered_manifold(cert, gm)
 
 
 def relabeled_shuffled(gm, rng):
@@ -676,7 +683,7 @@ class TestOnePath:
         assert outcomes == {"e_nonzero", "e_zero_pmj", "BoundaryCountTooSmall"}
 
     def test_two_piece_graphs_match_reference(self):
-        m5 = GluingMatrix.of(5, 1, 1, 0)
+        m5 = ((5, 1), (1, 0))
         cases = [
             two_piece_graph([J]),
             two_piece_graph([MINUS_J]),
@@ -687,7 +694,7 @@ class TestOnePath:
             two_piece_graph([M1110, J]),
             two_piece_graph([M1110, M1110]),
             two_piece_graph([m5, m5]),
-            two_piece_graph([GluingMatrix.of(1, 2, 1, 1), GluingMatrix.of(-1, 2, 1, -1)]),
+            two_piece_graph([((1, 2), (1, 1)), ((-1, 2), (1, -1))]),
             two_piece_graph([J], genus_a=1),
         ]
         outcomes = {self.check(gm) for gm in cases}
